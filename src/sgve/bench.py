@@ -20,8 +20,8 @@ import numpy as np
 
 from . import expr as ex
 from . import parametric, pf, values
-from .game import DiscretizedGame, GameSpec, discretize, matrix_game_bruteforce, \
-    solve_matrix_game
+from .game import DiscretizedGame, GameSpec, _exact_row_sums, discretize, \
+    matrix_game_bruteforce, solve_matrix_game
 from .shapley import ShapleyOperator, check_properties
 
 __all__ = [
@@ -95,23 +95,15 @@ def exshap_discounted_exact(lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 def random_discretized_game(rng: np.random.Generator, states: int,
-                            max_actions: int = 5,
-                            payoff_scale: float = 1.0) -> DiscretizedGame:
-    """Random dense game: uniform payoffs, Dirichlet transition rows."""
+                            max_actions: int = 5) -> DiscretizedGame:
+    """Random dense game: payoffs uniform on [-1, 1], Dirichlet transition
+    rows."""
     g, rho, gx, gy = [], [], [], []
     for _ in range(states):
         nx = int(rng.integers(2, max_actions + 1))
         ny = int(rng.integers(2, max_actions + 1))
-        g.append(rng.uniform(-payoff_scale, payoff_scale, (nx, ny)))
-        r = rng.gamma(1.0, 1.0, (nx, ny, states))
-        r /= r.sum(axis=2, keepdims=True)
-        for _ in range(4):
-            resid = 1.0 - r.sum(axis=2)
-            if not resid.any():
-                break
-            idx = r.argmax(axis=2)[:, :, None]
-            np.put_along_axis(r, idx, np.take_along_axis(r, idx, 2) + resid[:, :, None], 2)
-        rho.append(r)
+        g.append(rng.uniform(-1.0, 1.0, (nx, ny)))
+        rho.append(_exact_row_sums(rng.gamma(1.0, 1.0, (nx, ny, states))))
         gx.append(np.linspace(0.0, 1.0, nx)[:, None])
         gy.append(np.linspace(0.0, 1.0, ny)[:, None])
     return DiscretizedGame(states=states, grids_x=tuple(gx), grids_y=tuple(gy),

@@ -9,23 +9,19 @@ Commands::
 
 FILE is a JSON game document or a builtin pseudo-path like
 ``bench:exshap``.  Exit codes: 0 success, 2 usage or input error,
-3 numerical failure.  Identical invocations produce byte-identical output;
-the SGVE_THREADS environment variable caps worker parallelism (0 = auto;
-the current implementation is single-threaded, which trivially honors any
-cap).
+3 numerical failure.  Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from . import values
 from .bench import SUITES, run_suite
-from .errors import (EvalDomainError, GameSpecError, IterationBudgetError,
-                     MatrixGameError, PositivityError, SgveError)
+from .errors import (GameSpecError, IterationBudgetError, MatrixGameError,
+                     PositivityError, SgveError)
 from .game import discretize
 from .gamefile import game_spec_from_document, load_game_document, load_monotone_map
 from .pf import growth_rate
@@ -35,7 +31,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-_INPUT_ERRORS = (GameSpecError, EvalDomainError)
 _NUMERICAL_ERRORS = (MatrixGameError, IterationBudgetError, PositivityError)
 
 
@@ -197,30 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("SGVE_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 0:
-                raise ValueError
-        except ValueError:
-            print(f"warning: ignoring invalid SGVE_THREADS={threads!r}",
-                  file=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SgveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (SgveError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -10,8 +10,8 @@ Grammar (highest precedence first)::
 
 Identifiers must belong to the variable set declared at parse time; there is
 no implicit multiplication, so ``xy`` is always a single identifier.  Trees
-are immutable and evaluation is a pure structural recursion, safe to run
-concurrently on shared expressions.
+are immutable and :func:`evaluate` is the one evaluator, a pure structural
+recursion over numpy values, safe to run concurrently on shared expressions.
 """
 from __future__ import annotations
 
@@ -19,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 from .errors import EvalDomainError, ExprSyntaxError, UnknownVariableError
 
@@ -198,50 +200,65 @@ def variables(e: Expr) -> frozenset[str]:
     return variables(e.left) | variables(e.right)
 
 
-def evaluate(e: Expr, bindings: Mapping[str, float]) -> float:
-    """IEEE double evaluation by structural recursion.
+def evaluate(e: Expr, bindings: Mapping[str, float | np.ndarray]
+             ) -> float | np.ndarray:
+    """IEEE double evaluation by structural recursion, elementwise over arrays.
 
-    Deterministic: equal bindings give bit-identical results.  Raises
-    :class:`EvalDomainError` when the computation leaves the real domain.
+    Bindings are floats or numpy arrays that broadcast together.  Returns a
+    float when every binding is a scalar, else an array of the broadcast
+    shape; constants are evaluated at that shape too, so an expression that
+    ignores some variables still yields one value per point.  Deterministic:
+    equal bindings give bit-identical results.
+
+    One domain rule: :class:`EvalDomainError` is raised as soon as any
+    subexpression is nonfinite anywhere in its array.  That covers division
+    by zero, log of a nonpositive value, invalid powers and overflow, and
+    never lets an infinite intermediate be inverted back into range.  The
+    message names the subexpression and the bindings at its first nonfinite
+    entry.
     """
+    arrays = [np.asarray(value, dtype=float) for value in bindings.values()]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    # scalars run as one-element arrays: numpy picks its loops by stride,
+    # and 0-d operands would take other loops than a grid does
+    grid = shape or (1,)
+    views = {name: np.broadcast_to(a, grid) for name, a in zip(bindings, arrays)}
+    with np.errstate(all="ignore"):
+        out = _evaluate(e, views, grid)
+    return float(out[0]) if shape == () else np.ascontiguousarray(out)
+
+
+_UFUNCS = {"exp": np.exp, "log": np.log, "+": np.add, "-": np.subtract,
+           "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _evaluate(e: Expr, views: Mapping[str, np.ndarray], shape) -> np.ndarray:
+    """Recursion behind :func:`evaluate`; ``views`` holds the bindings
+    broadcast to the result ``shape``."""
     if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
+        # a stride-0 exponent would send np.power down its x*x fast path,
+        # which differs from the general loop in the last bit; full-shape
+        # constants keep every grid on the general loop
+        out = np.full(shape, e.value)
+    elif isinstance(e, Var):
         try:
-            return float(bindings[e.name])
+            out = views[e.name]
         except KeyError:
             raise UnknownVariableError(e.name) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, bindings)
-    if isinstance(e, Call):
-        x = evaluate(e.arg, bindings)
-        if e.func == "log":
-            if x <= 0.0:
-                raise EvalDomainError(f"log of nonpositive value {x!r}")
-            return math.log(x)
-        try:
-            return math.exp(x)
-        except OverflowError:
-            raise EvalDomainError(f"exp overflow at {x!r}") from None
-    a = evaluate(e.left, bindings)
-    b = evaluate(e.right, bindings)
-    op = e.op
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
-        return a / b
-    # power: integer exponents allow any base, fractional ones require a
-    # nonnegative base; 0^negative is rejected (math.pow semantics)
-    try:
-        return math.pow(a, b)
-    except (ValueError, OverflowError) as exc:
-        raise EvalDomainError(f"invalid power {a!r} ^ {b!r}: {exc}") from None
+    elif isinstance(e, Neg):
+        out = np.negative(_evaluate(e.arg, views, shape))
+    elif isinstance(e, Call):
+        out = _UFUNCS[e.func](_evaluate(e.arg, views, shape))
+    else:
+        out = _UFUNCS[e.op](_evaluate(e.left, views, shape),
+                            _evaluate(e.right, views, shape))
+    # math.isfinite is ~20 times cheaper than numpy on the scalar path
+    if not (math.isfinite(out.item()) if out.size == 1 else np.isfinite(out).all()):
+        idx = np.unravel_index(np.argmax(~np.isfinite(out)), shape)
+        at = ", ".join(f"{name}={float(v[idx])!r}" for name, v in views.items())
+        raise EvalDomainError(f"nonfinite value of {to_string(e)}"
+                              + (f" at {at}" if at else ""))
+    return out
 
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5

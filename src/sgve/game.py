@@ -29,6 +29,8 @@ __all__ = [
 # formula rather than float noise
 ROW_SUM_TOLERANCE = 1e-6
 _NEGATIVE_CLAMP = 1e-12
+# strategy weights above this count as the LP support that _polish re-solves
+_SUPPORT_THRESHOLD = 1e-9
 
 
 def action_variables(prefix: str, dim: int) -> tuple[str, ...]:
@@ -138,56 +140,39 @@ def uniform_grid(box: Sequence[tuple[float, float]], resolution) -> np.ndarray:
     return pts.reshape(-1, dim)
 
 
-def _eval_on_grid(e: ex.Expr, xs: np.ndarray, ys: np.ndarray,
-                  x_vars: Sequence[str], y_vars: Sequence[str],
-                  what: str) -> np.ndarray:
-    """Evaluate an expression on the product of two point lists.
+def _product_bindings(xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
+    """Action-variable bindings over the product of two point lists: each
+    x-coordinate runs down axis 0 and each y-coordinate along axis 1."""
+    bind = {name: xs[:, i, None]
+            for i, name in enumerate(action_variables("x", xs.shape[1]))}
+    bind.update((name, ys[:, j])
+                for j, name in enumerate(action_variables("y", ys.shape[1])))
+    return bind
 
-    Vectorized recursion over numpy arrays; any NaN/Inf in the result is
-    reported as a domain error at the first offending grid node.
-    """
-    nx, ny = len(xs), len(ys)
-    bind: dict[str, np.ndarray] = {}
-    for i, name in enumerate(x_vars):
-        bind[name] = np.broadcast_to(xs[:, i][:, None], (nx, ny))
-    for j, name in enumerate(y_vars):
-        bind[name] = np.broadcast_to(ys[:, j][None, :], (nx, ny))
 
-    def rec(node: ex.Expr) -> np.ndarray:
-        if isinstance(node, ex.Num):
-            return np.full((nx, ny), node.value)
-        if isinstance(node, ex.Var):
-            return bind[node.name]
-        if isinstance(node, ex.Neg):
-            return -rec(node.arg)
-        if isinstance(node, ex.Call):
-            return np.log(rec(node.arg)) if node.func == "log" else np.exp(rec(node.arg))
-        a, b = rec(node.left), rec(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return np.power(a, b)
-
-    with np.errstate(all="ignore"):
-        out = np.asarray(rec(e), dtype=float)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise EvalDomainError(
-            f"{what}: nonfinite value at grid node x={xs[i]}, y={ys[j]}")
-    return out
+def _exact_row_sums(r: np.ndarray) -> np.ndarray:
+    """Clip to nonnegative and scale each row (last axis) to sum to 1.0
+    exactly: the float residual of the division is pushed into the row's
+    largest entry, repeated in case the correction itself rounds."""
+    r = np.clip(r, 0.0, None)
+    r /= r.sum(axis=-1, keepdims=True)
+    for _ in range(4):
+        resid = 1.0 - r.sum(axis=-1)
+        if not resid.any():
+            break
+        idx = r.argmax(axis=-1)[..., None]
+        np.put_along_axis(r, idx,
+                          np.take_along_axis(r, idx, -1) + resid[..., None], -1)
+    return r
 
 
 def discretize(spec: GameSpec, resolution) -> DiscretizedGame:
     """Evaluate a symbolic game on uniform action grids.
 
     ``resolution`` may be a single int (shared by both boxes), a pair
-    ``(rx, ry)``, or a pair of per-coordinate lists.  Transition rows whose
+    ``(rx, ry)``, or a pair of per-coordinate lists.  An expression that is
+    nonfinite anywhere on the grid raises :class:`EvalDomainError` naming
+    its slot and the first offending grid node.  Transition rows whose
     pre-normalization sum deviates from one by more than ``ROW_SUM_TOLERANCE``
     (or with entries below ``-1e-12``) raise :class:`GameSpecError`; smaller
     deviations are silently renormalized to sum exactly to one.
@@ -198,37 +183,28 @@ def discretize(spec: GameSpec, resolution) -> DiscretizedGame:
         res_x, res_y = resolution
     xs = uniform_grid(spec.x_box, res_x)
     ys = uniform_grid(spec.y_box, res_y)
+    bind = _product_bindings(xs, ys)
+
+    def on_grid(e: ex.Expr, what: str) -> np.ndarray:
+        try:
+            return ex.evaluate(e, bind)
+        except EvalDomainError as exc:
+            raise EvalDomainError(f"{what}: {exc}") from None
+
     d = spec.states
     g, rho = [], []
     for k in range(d):
-        gk = _eval_on_grid(spec.payoff[k], xs, ys, spec.x_vars, spec.y_vars,
-                           f"payoff[{k}]")
-        rk = np.empty((len(xs), len(ys), d))
-        for k2 in range(d):
-            rk[:, :, k2] = _eval_on_grid(spec.transition[k][k2], xs, ys,
-                                         spec.x_vars, spec.y_vars,
-                                         f"transition[{k}][{k2}]")
+        g.append(on_grid(spec.payoff[k], f"payoff[{k}]"))
+        rk = np.stack([on_grid(spec.transition[k][k2], f"transition[{k}][{k2}]")
+                       for k2 in range(d)], axis=-1)
         if rk.min() < -_NEGATIVE_CLAMP:
             raise GameSpecError(
                 f"state {k}: negative transition probability {rk.min():.3e}")
-        sums = rk.sum(axis=2)
-        dev = float(np.abs(sums - 1.0).max())
+        dev = float(np.abs(rk.sum(axis=2) - 1.0).max())
         if dev > ROW_SUM_TOLERANCE:
             raise GameSpecError(
                 f"state {k}: transition row sums deviate from 1 by {dev:.3e}")
-        rk = np.clip(rk, 0.0, None)
-        rk /= rk.sum(axis=2, keepdims=True)
-        # push the float residual into the largest entry so rows sum to 1.0
-        # exactly; repeat in case the correction itself rounds
-        for _ in range(4):
-            resid = 1.0 - rk.sum(axis=2)
-            if not resid.any():
-                break
-            idx = rk.argmax(axis=2)[:, :, None]
-            np.put_along_axis(rk, idx,
-                              np.take_along_axis(rk, idx, 2) + resid[:, :, None], 2)
-        g.append(gk)
-        rho.append(rk)
+        rho.append(_exact_row_sums(rk))
     return DiscretizedGame(
         states=d,
         grids_x=tuple(xs for _ in range(d)),
@@ -303,8 +279,7 @@ def _equalizing_mix(B: np.ndarray) -> np.ndarray | None:
     return np.clip(sol[:k], 0.0, None)
 
 
-def _polish(A: np.ndarray, sol: MatrixGameSolution,
-            threshold: float = 1e-9) -> MatrixGameSolution:
+def _polish(A: np.ndarray, sol: MatrixGameSolution) -> MatrixGameSolution:
     """Re-solve the equalization system on the LP supports.
 
     Degenerate games leave simplex basic solutions with certificate gaps
@@ -312,8 +287,8 @@ def _polish(A: np.ndarray, sol: MatrixGameSolution,
     directly usually repairs them.  The re-derived strategies are verified
     against the full matrix, so a failed polish can only be discarded.
     """
-    rows = np.flatnonzero(sol.row_strategy > threshold)
-    cols = np.flatnonzero(sol.col_strategy > threshold)
+    rows = np.flatnonzero(sol.row_strategy > _SUPPORT_THRESHOLD)
+    cols = np.flatnonzero(sol.col_strategy > _SUPPORT_THRESHOLD)
     k = min(len(rows), len(cols))
     if k == 0:
         return sol
@@ -358,10 +333,10 @@ def solve_matrix_game(A, tol: float = 1e-9) -> MatrixGameSolution:
 
     best = None
     # presolve off is markedly faster on dense game LPs; keep slower
-    # configurations as fallbacks for numerically awkward matrices
+    # configurations as fallbacks for numerically awkward matrices ("highs"
+    # already runs dual simplex, so no separate dual-simplex retry)
     for opts in ({"method": "highs", "options": {"presolve": False}},
                  {"method": "highs", "options": {"presolve": True}},
-                 {"method": "highs-ds", "options": {"presolve": True}},
                  {"method": "highs-ipm", "options": {"presolve": True}}):
         sol = _lp_solve(A, **opts)
         if sol is None:

@@ -58,7 +58,7 @@ def game_spec_from_document(doc: dict) -> tuple[GameSpec, str]:
         transition = doc["transition"]
     except (KeyError, TypeError) as exc:
         raise GameSpecError(f"missing required field: {exc}") from None
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise GameSpecError("states must be a positive integer")
     if not isinstance(actions, dict) or set(actions) != {"x", "y"}:
         raise GameSpecError('actions must be an object with keys "x" and "y"')
@@ -125,7 +125,7 @@ def monotone_map_from_document(doc: dict) -> pf.MonotoneMap:
         raise GameSpecError("map document must be a JSON object")
     kind = doc.get("kind")
     d = doc.get("d")
-    if not isinstance(d, int) or d < 1:
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
         raise GameSpecError("d must be a positive integer")
     if kind == "explicitExpr":
         exprs = doc.get("exprs")

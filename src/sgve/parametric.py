@@ -17,7 +17,8 @@ import numpy as np
 
 from . import expr as ex
 from .errors import GameSpecError
-from .game import action_variables, solve_matrix_game, uniform_grid
+from .game import (_product_bindings, action_variables, solve_matrix_game,
+                   uniform_grid)
 
 __all__ = [
     "SeparableSpec", "separable_value",
@@ -49,11 +50,6 @@ class SeparableSpec:
             raise GameSpecError("coefficient table must be I x J")
 
 
-def _grid_bindings(points: np.ndarray, prefix: str) -> list[dict[str, float]]:
-    names = action_variables(prefix, points.shape[1])
-    return [dict(zip(names, map(float, pt))) for pt in points]
-
-
 def separable_value(spec: SeparableSpec, z: Mapping[str, float],
                     resolution: int, tol: float = 1e-9) -> float:
     """Grid value of a separable parametric game at parameter z.
@@ -66,10 +62,10 @@ def separable_value(spec: SeparableSpec, z: Mapping[str, float],
     xs = uniform_grid(spec.x_box, resolution)
     ys = uniform_grid(spec.y_box, resolution)
     zb = dict(z)
-    A = np.array([[ex.evaluate(ai, {**b, **zb}) for b in _grid_bindings(xs, "x")]
-                  for ai in spec.a])  # (I, nx)
-    B = np.array([[ex.evaluate(bj, {**b, **zb}) for b in _grid_bindings(ys, "y")]
-                  for bj in spec.b])  # (J, ny)
+    bx = {**dict(zip(action_variables("x", xs.shape[1]), xs.T)), **zb}
+    by = {**dict(zip(action_variables("y", ys.shape[1]), ys.T)), **zb}
+    A = np.array([ex.evaluate(ai, bx) for ai in spec.a])  # (I, nx)
+    B = np.array([ex.evaluate(bj, by) for bj in spec.b])  # (J, ny)
     M = np.array([[ex.evaluate(mij, zb) for mij in row] for row in spec.m])
     G = A.T @ M @ B
     return solve_matrix_game(G, tol).value
@@ -92,20 +88,15 @@ def convexity_spot_check(spec: ConvexGameSpec, z: Mapping[str, float],
     segments; <= slack for genuinely convex payoffs."""
     rng = np.random.default_rng(seed)
     p, q = len(spec.x_box), len(spec.y_box)
-    zb = dict(z)
-    xv, yv = action_variables("x", p), action_variables("y", q)
-    worst = 0.0
-    for _ in range(segments):
-        x = [rng.uniform(lo, hi) for lo, hi in spec.x_box]
-        y1 = [rng.uniform(lo, hi) for lo, hi in spec.y_box]
-        y2 = [rng.uniform(lo, hi) for lo, hi in spec.y_box]
-        ym = [(u + v) / 2 for u, v in zip(y1, y2)]
-
-        def g(y):
-            return ex.evaluate(spec.payoff,
-                               {**zb, **dict(zip(xv, x)), **dict(zip(yv, y))})
-
-        worst = max(worst, g(ym) - (g(y1) + g(y2)) / 2)
+    # per segment, in stream order: x, then the endpoints y1 and y2
+    lo, hi = np.array(spec.x_box + spec.y_box + spec.y_box).T
+    draws = rng.uniform(lo, hi, (segments, p + 2 * q))
+    x, y1, y2 = draws[:, :p], draws[:, p:p + q], draws[:, p + q:]
+    y = np.stack([(y1 + y2) / 2, y1, y2])  # (3, segments, q)
+    bind = {**dict(z), **dict(zip(action_variables("x", p), x.T)),
+            **dict(zip(action_variables("y", q), np.moveaxis(y, -1, 0)))}
+    gm, g1, g2 = ex.evaluate(spec.payoff, bind)
+    worst = float(np.max(gm - (g1 + g2) / 2, initial=0.0))
     if worst > slack:
         raise GameSpecError(
             f"payoff declared convex in y violates midpoint convexity by {worst:.3e}")
@@ -116,14 +107,7 @@ def payoff_grid(spec: ConvexGameSpec, z: Mapping[str, float],
                  resolution: int) -> np.ndarray:
     xs = uniform_grid(spec.x_box, resolution)
     ys = uniform_grid(spec.y_box, resolution)
-    xv, yv = action_variables("x", xs.shape[1]), action_variables("y", ys.shape[1])
-    zb = dict(z)
-    G = np.empty((len(xs), len(ys)))
-    for i, x in enumerate(xs):
-        bx = dict(zip(xv, map(float, x)))
-        for j, y in enumerate(ys):
-            G[i, j] = ex.evaluate(spec.payoff, {**zb, **bx, **dict(zip(yv, map(float, y)))})
-    return G
+    return ex.evaluate(spec.payoff, {**dict(z), **_product_bindings(xs, ys)})
 
 
 def convex_value(spec: ConvexGameSpec, z: Mapping[str, float],

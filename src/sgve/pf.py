@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import GameSpecError, PositivityError
+from .errors import EvalDomainError, GameSpecError, PositivityError
 
 __all__ = [
     "MonotoneMap", "min_linear", "max_linear", "explicit_map",
@@ -111,8 +111,9 @@ def log_glasses_apply(T: MonotoneMap, h) -> np.ndarray:
 
     This is the unstable reference route: it materializes T(exp(h)) and
     fails loudly if the map leaves the open cone or the exponentials
-    overflow.  Growth-rate computations use the stable log-space route
-    instead.
+    overflow.  An explicit map whose evaluation leaves the real domain on
+    this positive argument (an overflowing product, say) has left the cone
+    too.  Growth-rate computations use the stable log-space route instead.
     """
     h = np.asarray(h, dtype=float)
     with np.errstate(over="raise"):
@@ -120,6 +121,9 @@ def log_glasses_apply(T: MonotoneMap, h) -> np.ndarray:
             values = _coordinate_values(T, np.exp(h))
         except FloatingPointError:
             raise PositivityError("exp overflow; use the log-space route") from None
+        except EvalDomainError as exc:
+            raise PositivityError(
+                f"map produced a nonfinite value on the open cone: {exc}") from None
     if not np.all(np.isfinite(values)) or np.any(values <= 0):
         raise PositivityError(
             "map produced a nonpositive or nonfinite value on the open cone")
@@ -166,10 +170,6 @@ def make_conjugate(T: MonotoneMap):
     return step
 
 
-def _conjugate_stable(T: MonotoneMap, h: np.ndarray) -> np.ndarray:
-    return make_conjugate(T)(h)
-
-
 def risk_sensitive_apply(weight_sets, h) -> np.ndarray:
     """Coordinate i is the minimum over its weight vectors p of
     log sum_j p_j e^{h_j}, evaluated with the max-shift trick.
@@ -182,7 +182,7 @@ def risk_sensitive_apply(weight_sets, h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape != (T.d,):
         raise GameSpecError(f"argument must have length {T.d}")
-    return _conjugate_stable(T, h)
+    return make_conjugate(T)(h)
 
 
 def growth_rate(T: MonotoneMap, e, n: int) -> np.ndarray:

@@ -48,6 +48,7 @@ def test_document_round_trip(tmp_path):
     lambda d: d.update(payoff=["0", "1 + * 2"]),
     lambda d: d.update(controller=["p3", None]),
     lambda d: d.update(kind="bogus"),
+    lambda d: d.update(states=True),  # a bool is not a state count
 ])
 def test_document_validation_errors(mutate):
     doc = json.loads(json.dumps(bench.exshap_game_file()))
@@ -68,6 +69,7 @@ def test_monotone_map_documents():
         {"d": 2, "kind": "other"},
         {"d": "x", "kind": "minLinear", "weights": []},
         {"d": 2, "kind": "explicitExpr", "exprs": ["f1"]},
+        {"d": True, "kind": "minLinear", "weights": [[[1.0]]]},
     ):
         with pytest.raises(GameSpecError):
             monotone_map_from_document(bad)
@@ -111,6 +113,17 @@ def test_solve_malformed_json(tmp_path, capsys):
 
 def test_solve_missing_file(capsys):
     assert main(["solve", "/no/such/file.json", "--n", "1"]) == 2
+
+
+@pytest.mark.parametrize("change", [
+    {"payoff": ["0", "exp(-1/x)"]},  # nonfinite intermediate at x = 0
+    {"states": True},
+])
+def test_solve_invalid_game_exits_2(tmp_path, capsys, change):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({**bench.exshap_game_file(), **change}))
+    assert main(["solve", str(path), "--lambda", "0.5", "--resolution", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_usage_errors_exit_2(capsys):

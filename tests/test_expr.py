@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,11 +78,33 @@ def test_evaluation_table(text, value):
     ("0^x", {"x": -1.0}),
     ("x^0.5", {"x": -2.0}),   # fractional exponent needs a nonnegative base
     ("exp(x)", {"x": 1e9}),   # overflow leaves the double range
+    # an infinite intermediate is an error even when the result would be finite
+    ("1/(1/(x-x))", {"x": 0.0}),
+    ("exp(-1/x)", {"x": 0.0}),
+    ("exp(log(x))", {"x": 0.0}),
 ])
 def test_domain_errors(text, bindings):
     e = expr.parse(text, ["x"])
     with pytest.raises(EvalDomainError):
         expr.evaluate(e, bindings)
+
+
+@pytest.mark.parametrize("text", [
+    BENCH_PAYOFF,
+    "exp(x) - log(1 + y*z)",
+    "(x - y)^2 / (1 + z)",
+    "-x^3 + 2^0.5",
+    "2",                      # constants take the broadcast shape too
+])
+def test_array_bindings_match_scalar_evaluation(text):
+    e = expr.parse(text, ["x", "y", "z"])
+    xs = np.linspace(0.0, 1.0, 7)
+    ys = np.linspace(0.0, 2.0, 5)
+    grid = expr.evaluate(e, {"x": xs[:, None], "y": ys, "z": 0.5})
+    assert grid.shape == (7, 5)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert grid[i, j] == expr.evaluate(e, {"x": x, "y": y, "z": 0.5})
 
 
 def test_missing_binding():

@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgve import bench, expr
+from sgve import game as game_module
 from sgve.errors import EvalDomainError, GameSpecError, MatrixGameError
 from sgve.game import (GameSpec, discretize, matrix_game_bruteforce,
                        solve_matrix_game, uniform_grid)
+from sgve.gamefile import game_spec_from_document
 
 TOL = 1e-9
 
@@ -204,13 +208,77 @@ def test_discretize_domain_error_at_node():
         discretize(spec, 3)
 
 
+@pytest.mark.parametrize("payoff", ["1/(1/(x-x))", "exp(-1/x)", "exp(log(x))"])
+def test_discretize_rejects_nonfinite_intermediate(payoff):
+    # each is finite or absent at x = 0 only through an infinite intermediate
+    spec = GameSpec(
+        states=1,
+        x_box=((0.0, 1.0),), y_box=((0.0, 1.0),),
+        payoff=(expr.parse(payoff, ["x", "y"]),),
+        transition=((expr.parse("1", ["x", "y"]),),),
+    )
+    with pytest.raises(EvalDomainError, match=r"payoff\[0\]: .* at x=0\.0, y=0\.0"):
+        discretize(spec, 5)
+
+
 def test_grid_evaluation_matches_scalar_eval():
-    spec = bench.exshap_spec()
-    game = discretize(spec, 5)
-    xs = game.grids_x[1][:, 0]
-    ys = game.grids_y[1][:, 0]
-    for i in (0, 2, 4):
-        for j in (0, 2, 4):
-            direct = expr.evaluate(spec.payoff[1],
-                                   {"x": float(xs[i]), "y": float(ys[j])})
-            assert game.g[1][i, j] == pytest.approx(direct, abs=1e-15)
+    for name in ("exshap", "mckinsey"):
+        spec, _ = game_spec_from_document(bench.builtin_game_file(name))
+        game = discretize(spec, 5)
+        for k in range(spec.states):
+            xs = game.grids_x[k][:, 0]
+            ys = game.grids_y[k][:, 0]
+            for i, x in enumerate(xs):
+                for j, y in enumerate(ys):
+                    direct = expr.evaluate(spec.payoff[k], {"x": x, "y": y})
+                    assert game.g[k][i, j] == direct, (name, k, i, j)
+
+
+# the LP configurations solve_matrix_game tries, in order
+_LP_CONFIGS = [("highs", False), ("highs", True), ("highs-ipm", True)]
+
+
+def _fail_lp_configs(monkeypatch, failing):
+    """Make the chosen configurations report failure; return the call log."""
+    calls = []
+    real = game_module.linprog
+
+    def linprog(*args, method, options, **kwargs):
+        calls.append((method, options["presolve"]))
+        if calls[-1] in failing:
+            return SimpleNamespace(success=False)
+        return real(*args, method=method, options=options, **kwargs)
+
+    monkeypatch.setattr(game_module, "linprog", linprog)
+    return calls
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_lp_fallback_certifies(monkeypatch, failing):
+    calls = _fail_lp_configs(monkeypatch, _LP_CONFIGS[:failing])
+    A = [[3, 1], [0, 2]]
+    sol = solve_matrix_game(A, TOL)
+    assert calls == _LP_CONFIGS[:failing + 1]
+    assert abs(sol.value - 1.5) <= 2 * TOL
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(A, sol)
+
+
+def test_lp_failed_on_all_attempts(monkeypatch):
+    calls = _fail_lp_configs(monkeypatch, _LP_CONFIGS)
+    with pytest.raises(MatrixGameError, match="linear program failed on all attempts"):
+        solve_matrix_game([[3, 1], [0, 2]], TOL)
+    assert calls == _LP_CONFIGS
+
+
+def test_lp_best_gap_when_no_configuration_certifies(monkeypatch):
+    # every configuration returns the pure profile (row 0, column 0) of
+    # matching pennies, whose certified gap is 1
+    def linprog(*args, **kwargs):
+        return SimpleNamespace(success=True, x=np.array([1.0, 0.0, 0.0]),
+                               ineqlin=SimpleNamespace(marginals=np.array([-1.0, 0.0])))
+
+    monkeypatch.setattr(game_module, "linprog", linprog)
+    with pytest.raises(MatrixGameError) as err:
+        solve_matrix_game([[1, -1], [-1, 1]], TOL)
+    assert err.value.best_gap == 1.0

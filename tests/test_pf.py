@@ -148,6 +148,15 @@ def test_log_glasses_overflow_is_reported():
         log_glasses_apply(T, np.array([1e4]))
 
 
+@pytest.mark.parametrize("text,h", [
+    ("f1*f1", 400.0),       # the product overflows although exp(h) does not
+    ("log(f1 - 2)", 0.0),   # leaves the real domain at f1 = 1
+])
+def test_log_glasses_domain_failure_is_positivity_error(text, h):
+    with pytest.raises(PositivityError):
+        log_glasses_apply(explicit_map([text]), np.array([h]))
+
+
 def test_apply_map_requires_positive_argument():
     T = identity_map(2)
     with pytest.raises(PositivityError):
