@@ -14,6 +14,7 @@ FILE is a JSON game document or a builtin pseudo-path like
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -42,6 +43,16 @@ def _float_list(text: str) -> list[float]:
     if not items:
         raise argparse.ArgumentTypeError("empty list")
     return items
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a float: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -129,8 +140,8 @@ def _cmd_bench(args) -> int:
 def _cmd_growth(args) -> int:
     T = load_monotone_map(args.mapfile)
     e = np.ones(T.d) if args.start is None else np.asarray(args.start, dtype=float)
-    if e.shape != (T.d,):
-        raise GameSpecError(f"--e must list {T.d} starting values")
+    if e.shape != (T.d,) or not (np.isfinite(e).all() and (e > 0).all()):
+        raise GameSpecError(f"--e must list {T.d} finite, positive starting values")
     chi = growth_rate(T, e, args.n)
     print("growth rate:", " ".join(repr(float(x)) for x in chi))
     if args.n >= 2:
@@ -155,9 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lambda", dest="discount", type=float,
                        help="discount factor in (0, 1]")
     group.add_argument("--n", dest="stages", type=int, help="horizon length")
-    solve.add_argument("--tol", type=float, default=1e-6,
+    solve.add_argument("--tol", type=_positive_float, default=1e-6,
                        help="duality-gap tolerance per matrix game (default 1e-6)")
-    solve.add_argument("--eps", type=float, default=1e-6,
+    solve.add_argument("--eps", type=_positive_float, default=1e-6,
                        help="fixed-point accuracy for discounted values (default 1e-6)")
     solve.set_defaults(run=_cmd_solve)
 
@@ -169,14 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated discount factors")
     group.add_argument("--n-grid", dest="n_grid", type=_int_list,
                        help="comma-separated horizons")
-    curve.add_argument("--tol", type=float, default=1e-6)
-    curve.add_argument("--eps", type=float, default=1e-6)
+    curve.add_argument("--tol", type=_positive_float, default=1e-6)
+    curve.add_argument("--eps", type=_positive_float, default=1e-6)
     curve.add_argument("--out", default=None, help="CSV output path (default stdout)")
     curve.set_defaults(run=_cmd_curve)
 
     bench = sub.add_parser("bench", help="run the acceptance benchmark suites")
     bench.add_argument("--suite", required=True, choices=sorted(SUITES))
-    bench.add_argument("--tol", type=float, default=1e-6,
+    bench.add_argument("--tol", type=_positive_float, default=1e-6,
                        help="duality-gap tolerance for the benchmark-grid "
                             "solves (criterion-pinned tolerances are fixed)")
     bench.set_defaults(run=_cmd_bench)

@@ -47,8 +47,10 @@ class GameSpec:
 
     ``payoff[k]`` and ``transition[k][k2]`` are expressions in the action
     variables of both players (``x``/``x1..xp`` and ``y``/``y1..yq``).
-    ``controller[k]`` optionally tags who controls state ``k`` ("p1"/"p2")
-    for the perfect-information / switching / MDP operator forms.
+    ``controller[k]`` optionally tags who controls state ``k`` ("p1"/"p2").
+    The tags only declare the game class (MDP, perfect information,
+    switching control) that a tagged operator form checks; every form
+    solves each state for its certified mixed value.
     """
     states: int
     x_box: tuple[tuple[float, float], ...]
@@ -324,7 +326,7 @@ def solve_matrix_game(A, tol: float = 1e-9) -> MatrixGameSolution:
         raise MatrixGameError("payoff matrix must be 2-D and nonempty")
     if not np.isfinite(A).all():
         raise MatrixGameError("payoff matrix contains nonfinite entries")
-    if tol <= 0:
+    if not tol > 0:
         raise MatrixGameError("tol must be positive")
 
     sol = _saddle_point(A)

@@ -7,7 +7,7 @@ A game document looks like::
      "payoff": ["0", "(1+x)/(2*(1+x*y)^2)"],
      "transition": [["1", "0"], ["1 - r", "r"]],
      "controller": ["p1", null],      # optional
-     "kind": "general"}               # optional operator form
+     "kind": "general"}               # optional declared game class
 
 Expressions are strings over the action variables (``x``/``x1..xp`` and
 ``y``/``y1..yq``).  A monotone-map document is
@@ -37,7 +37,8 @@ def _box_from(node, who: str) -> tuple[tuple[float, float], ...]:
     box = []
     for pair in node:
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           for v in pair)):
             raise GameSpecError(f"actions.{who}: bad bounds entry {pair!r}")
         box.append((float(pair[0]), float(pair[1])))
     return tuple(box)
@@ -129,7 +130,8 @@ def monotone_map_from_document(doc: dict) -> pf.MonotoneMap:
         raise GameSpecError("d must be a positive integer")
     if kind == "explicitExpr":
         exprs = doc.get("exprs")
-        if not isinstance(exprs, list) or len(exprs) != d:
+        if (not isinstance(exprs, list) or len(exprs) != d
+                or not all(isinstance(s, str) for s in exprs)):
             raise GameSpecError(f"exprs must list {d} expression strings")
         try:
             return pf.explicit_map(exprs)

@@ -130,44 +130,37 @@ def log_glasses_apply(T: MonotoneMap, h) -> np.ndarray:
     return np.log(values)
 
 
-def log_sum_exp(a: np.ndarray) -> float:
-    """Max-shifted log of the sum of exponentials along the last axis."""
-    m = np.max(a)
-    if not np.isfinite(m):  # all -inf
-        return float(m)
-    return float(m + np.log(np.exp(a - m).sum()))
+def log_sum_exp(a) -> np.ndarray | float:
+    """Max-shifted log of the sum of exponentials along the last axis.
 
-
-def _lse_rows(M: np.ndarray) -> np.ndarray:
-    m = M.max(axis=1)
+    A slice whose entries are all -inf gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    m = a.max(axis=-1)
     with np.errstate(invalid="ignore"):
-        out = np.where(np.isfinite(m),
-                       np.log(np.exp(M - m[:, None]).sum(axis=1)), 0.0)
-    return m + out
+        s = np.log(np.exp(a - m[..., None]).sum(axis=-1))
+    return m + np.where(np.isfinite(m), s, 0.0)
 
 
 def make_conjugate(T: MonotoneMap):
     """Log-coordinate application h -> log(T(exp(h))) as a callable.
 
-    For the linear kinds the log weights are precomputed once and the
-    evaluation is a stable log-sum-exp, so iterating never overflows;
-    explicit maps fall back to the literal route.
+    For the linear kinds the log weights are precomputed once as one
+    (d, F, d) tensor, F the largest family size; smaller families are
+    padded by repeating their first vector, which changes no min or max.
+    The evaluation is one stable log-sum-exp and a reduction over the
+    family axis, so iterating never overflows; explicit maps fall back to
+    the literal route.
     """
     if T.kind == "explicitExpr":
         return lambda h: log_glasses_apply(T, h)
-    log_weights = []
-    for W in T.weight_arrays():
-        logw = np.where(W > 0, np.log(np.where(W > 0, W, 1.0)), -np.inf)
-        log_weights.append(logw)
-    if all(len(logw) == 1 for logw in log_weights):  # linear map fast path
-        stacked = np.vstack(log_weights)
-        return lambda h: _lse_rows(stacked + h)
-    reducer = np.min if T.kind == "minLinear" else np.max
-
-    def step(h: np.ndarray) -> np.ndarray:
-        return np.array([reducer(_lse_rows(logw + h)) for logw in log_weights])
-
-    return step
+    F = max(len(fam) for fam in T.weights)
+    W = np.array([fam + fam[:1] * (F - len(fam)) for fam in T.weights])
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(W)
+    if T.kind == "minLinear":
+        return lambda h: log_sum_exp(log_weights + h).min(axis=1)
+    return lambda h: log_sum_exp(log_weights + h).max(axis=1)
 
 
 def risk_sensitive_apply(weight_sets, h) -> np.ndarray:
@@ -198,8 +191,8 @@ def growth_rate(T: MonotoneMap, e, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     e = np.asarray(e, dtype=float)
-    if e.shape != (T.d,) or not np.all(e > 0):
-        raise PositivityError("starting vector must be strictly positive")
+    if e.shape != (T.d,) or not np.all(e > 0) or not np.isfinite(e).all():
+        raise PositivityError("starting vector must be finite and strictly positive")
     h = np.log(e)
     step = make_conjugate(T)
     half = n // 2

@@ -1,11 +1,13 @@
 """The one-shot dynamic programming operator of a discretized game.
 
 For a value vector f, component k of the operator is the mixed value of the
-matrix game ``A_k[i, j] = g[k][i, j] + sum_k' rho[k][i, j, k'] f[k']``.
-States tagged with a controlling player admit pure max / pure min forms
-(Markov decision processes, perfect information) or the max-of-inner-min
-form (switching control); those forms agree with the general mixed value
-whenever the tags are truthful.
+matrix game ``A_k[i, j] = g[k][i, j] + sum_k' rho[k][i, j, k'] f[k']``,
+solved and gap-certified by :func:`solve_matrix_game` in every form.  The
+tagged forms (Markov decision processes, perfect information, switching
+control) only declare the game class, checked against the controller tags;
+they select no other formula.  Where the untagged player of a state is a
+dummy, the kernel's exact saddle check returns the pure max (or min) with
+gap 0; switching control still needs mixed strategies.
 
 The operator is monotone, commutes with adding a constant to every
 component, and is nonexpansive in the sup norm; :func:`check_properties`
@@ -31,7 +33,7 @@ class ShapleyOperator:
     """Evaluates the per-state matrix games of a discretized game.
 
     ``tol`` is the duality-gap tolerance passed to the matrix-game solver
-    for the "general" form; the tagged pure forms are exact.
+    for every state, whatever the form.
     """
     game: DiscretizedGame
     form: str = "general"
@@ -68,27 +70,11 @@ class ShapleyOperator:
         """Operator value together with per-state certified duality gaps."""
         f = self._check_input(f)
         out = np.empty(self.dim)
-        gaps = np.zeros(self.dim)
-        tags = self.game.controller
+        gaps = np.empty(self.dim)
         for k in range(self.dim):
-            A = self.state_matrix(k, f)
-            if self.form == "general":
-                sol = solve_matrix_game(A, self.tol)
-                out[k] = sol.value
-                gaps[k] = sol.duality_gap
-            elif self.form == "switching":
-                # transition controlled by tags[k]; the opposing player only
-                # affects the stage payoff, which is resolved pointwise
-                cont = self.game.rho[k] @ f
-                if tags[k] == "p1":
-                    out[k] = (self.game.g[k].min(axis=1) + cont[:, 0]).max()
-                else:
-                    out[k] = (self.game.g[k].max(axis=0) + cont[0, :]).min()
-            else:  # mdp / perfectInfo: the untagged player is a dummy
-                if tags[k] == "p1":
-                    out[k] = A.min(axis=1).max()
-                else:
-                    out[k] = A.max(axis=0).min()
+            sol = solve_matrix_game(self.state_matrix(k, f), self.tol)
+            out[k] = sol.value
+            gaps[k] = sol.duality_gap
         return out, gaps
 
     def apply(self, f) -> np.ndarray:
@@ -122,13 +108,13 @@ _HOMOGENEITY_SHIFTS = (-10.0, -2.5, 0.7, 10.0)
 
 def check_properties(op: ShapleyOperator,
                      samples: Iterable[tuple[Sequence[float], Sequence[float]]],
-                     shifts: Sequence[float] = _HOMOGENEITY_SHIFTS) -> PropertyReport:
+                     ) -> PropertyReport:
     """Measure order preservation, additive homogeneity, and sup-norm
     nonexpansiveness on the given pairs of value vectors.
 
     Monotonicity is only measurable on componentwise-ordered pairs; the
     report counts how many pairs qualified.  Homogeneity applies each
-    ``c`` in ``shifts`` to the first vector of every pair.
+    shift in ``_HOMOGENEITY_SHIFTS`` to the first vector of every pair.
     """
     mono = homo = nonexp = gap = 0.0
     ordered = total = 0
@@ -147,7 +133,7 @@ def check_properties(op: ShapleyOperator,
         elif np.all(g <= f):
             ordered += 1
             mono = max(mono, (pg - pf).max())
-        for c in shifts:
+        for c in _HOMOGENEITY_SHIFTS:
             pc, gc = op.apply_with_gaps(f + c)
             gap = max(gap, gc.max())
             homo = max(homo, np.abs(pc - (pf + c)).max())

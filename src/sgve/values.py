@@ -75,7 +75,7 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"discount factor must be in (0, 1], got {lam}")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if lam == 1.0:
         v = op.apply(np.zeros(op.dim))

@@ -49,6 +49,7 @@ def test_document_round_trip(tmp_path):
     lambda d: d.update(controller=["p3", None]),
     lambda d: d.update(kind="bogus"),
     lambda d: d.update(states=True),  # a bool is not a state count
+    lambda d: d["actions"].update(x=[[False, True]]),  # nor a box bound
 ])
 def test_document_validation_errors(mutate):
     doc = json.loads(json.dumps(bench.exshap_game_file()))
@@ -70,6 +71,7 @@ def test_monotone_map_documents():
         {"d": "x", "kind": "minLinear", "weights": []},
         {"d": 2, "kind": "explicitExpr", "exprs": ["f1"]},
         {"d": True, "kind": "minLinear", "weights": [[[1.0]]]},
+        {"d": 1, "kind": "explicitExpr", "exprs": [None]},  # not a string
     ):
         with pytest.raises(GameSpecError):
             monotone_map_from_document(bad)
@@ -118,6 +120,7 @@ def test_solve_missing_file(capsys):
 @pytest.mark.parametrize("change", [
     {"payoff": ["0", "exp(-1/x)"]},  # nonfinite intermediate at x = 0
     {"states": True},
+    {"actions": {"x": [[False, True]], "y": [[0, 1]]}},
 ])
 def test_solve_invalid_game_exits_2(tmp_path, capsys, change):
     path = tmp_path / "game.json"
@@ -133,6 +136,24 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--suite", "unknown"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "bench:exshap", "--lambda", "0.5", "--tol", "0"],
+    ["solve", "bench:exshap", "--lambda", "0.5", "--tol", "-1"],
+    ["solve", "bench:exshap", "--lambda", "0.5", "--tol", "nan"],
+    ["solve", "bench:exshap", "--lambda", "0.5", "--eps", "nan"],
+    ["solve", "bench:exshap", "--lambda", "0.5", "--eps", "inf"],
+    ["curve", "bench:exshap", "--lambda-grid", "0.5", "--tol", "nan"],
+    ["curve", "bench:exshap", "--lambda-grid", "0.5", "--eps", "0"],
+    ["bench", "--suite", "pf", "--tol", "-inf"],
+])
+def test_nonpositive_or_nonfinite_tolerances_exit_2(argv, capsys):
+    # rejected by the parser, before any game is built
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_curve_n_grid_row_count(tmp_path, capsys):
@@ -198,6 +219,17 @@ def test_growth_invalid_map_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(
         {"d": 1, "kind": "minLinear", "weights": [[[0.0]]]}))
     assert main(["growth", str(path)]) == 2
+
+
+@pytest.mark.parametrize("start", ["inf,1", "nan,1", "0,1", "1,-1"])
+def test_growth_bad_start_exits_2(tmp_path, capsys, start):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(
+        {"d": 2, "kind": "minLinear", "weights": [[[2.0, 0.0]], [[0.0, 3.0]]]}))
+    assert main(["growth", str(path), "--n", "64", "--e", start]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_growth_runtime_positivity_exits_3(tmp_path, capsys):

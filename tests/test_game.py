@@ -128,8 +128,9 @@ def test_solver_input_errors():
         solve_matrix_game([[np.nan, 1.0]], TOL)
     with pytest.raises(MatrixGameError):
         solve_matrix_game(np.zeros((0, 2)), TOL)
-    with pytest.raises(MatrixGameError):
-        solve_matrix_game([[1.0]], tol=0.0)
+    for tol in (0.0, np.nan):
+        with pytest.raises(MatrixGameError):
+            solve_matrix_game([[1.0]], tol=tol)
 
 
 # ---------------------------------------------------------------------------

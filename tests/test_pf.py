@@ -7,7 +7,7 @@ from sgve import bench
 from sgve.errors import GameSpecError, PositivityError
 from sgve.pf import (MonotoneMap, apply_map, check_cone_properties,
                      explicit_map, growth_rate, log_glasses_apply, log_sum_exp,
-                     max_linear, min_linear, risk_sensitive_apply)
+                     make_conjugate, max_linear, min_linear, risk_sensitive_apply)
 
 
 def identity_map(d: int) -> MonotoneMap:
@@ -74,6 +74,22 @@ def test_conjugate_additive_homogeneity():
                       - (log_glasses_apply(T, h) + c)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("maker, reduce", [(min_linear, min), (max_linear, max)])
+def test_conjugate_matches_per_vector_loop(maker, reduce):
+    # the padded (d, F, d) tensor route against one log-sum-exp per weight
+    # vector: ragged families, zero weights, same arithmetic, equal bits
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        d = int(rng.integers(1, 5))
+        fams = [[tuple(rng.uniform(0, 2, d) * (rng.uniform(size=d) < 0.7)
+                       + 0.5 * np.eye(d)[i]) for _ in range(rng.integers(1, 4))]
+                for i in range(d)]
+        h = rng.uniform(-5, 5, d)
+        with np.errstate(divide="ignore"):
+            expected = [reduce(log_sum_exp(np.log(p) + h) for p in fam) for fam in fams]
+        assert np.array_equal(make_conjugate(maker(fams))(h), expected)
+
+
 def test_risk_sensitive_point_mass_and_uniform():
     fams = [[(1.0, 0.0)], [(0.5, 0.5)]]
     out = risk_sensitive_apply(fams, [0.7, -2.0])
@@ -134,6 +150,9 @@ def test_growth_rate_argument_errors():
         growth_rate(T, np.ones(2), 0)
     with pytest.raises(PositivityError):
         growth_rate(T, np.array([1.0, 0.0]), 5)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(PositivityError):
+            growth_rate(T, np.array([bad, 1.0]), 5)
 
 
 def test_log_glasses_positivity_failure():
@@ -214,3 +233,9 @@ def test_log_sum_exp_extremes():
     assert log_sum_exp(np.array([-np.inf, 0.0])) == 0.0
     assert log_sum_exp(np.array([1000.0, 1000.0])) == pytest.approx(
         1000.0 + math.log(2.0), abs=1e-12)
+    # one sum per slice of the last axis; an all -inf slice gives -inf
+    assert np.array_equal(log_sum_exp(np.zeros((2, 2))), np.full(2, math.log(2.0)))
+    rows = log_sum_exp(np.array([[-np.inf, -np.inf], [1000.0, 1000.0]]))
+    assert rows.shape == (2,)
+    assert rows[0] == -np.inf
+    assert rows[1] == pytest.approx(1000.0 + math.log(2.0), abs=1e-12)

@@ -114,22 +114,79 @@ def test_single_state_mdp_dominant_action():
         assert f[0] / n == 2.0
 
 
-def test_switching_form_is_max_of_inner_min():
+def dummy_opponent_game(rng, tags):
+    """Random game whose untagged player is a dummy in every state: a
+    p1-tagged state is constant along columns, a p2-tagged one along rows."""
+    d = len(tags)
+    base = random_game(rng, d=d)
+    g, rho = [], []
+    for gk, rk, tag in zip(base.g, base.rho, tags):
+        axis = 1 if tag == "p1" else 0
+        g.append(np.repeat(gk.take([0], axis=axis), gk.shape[axis], axis=axis))
+        rho.append(np.repeat(rk.take([0], axis=axis), rk.shape[axis], axis=axis))
+    return DiscretizedGame(states=d, grids_x=base.grids_x, grids_y=base.grids_y,
+                           g=tuple(g), rho=tuple(rho), controller=tuple(tags))
+
+
+@pytest.mark.parametrize("form, tag_choices", [
+    ("mdp", [["p1"] * 3, ["p2"] * 3]),
+    ("perfectInfo", [["p1", "p2", "p1"], ["p2", "p2", "p1"]]),
+])
+def test_pure_forms_equal_general_bit_for_bit(form, tag_choices):
+    rng = np.random.default_rng(45)
+    for tags in tag_choices:
+        for _ in range(10):
+            game = dummy_opponent_game(rng, tags)
+            tagged_op = ShapleyOperator(game, form=form, tol=TOL)
+            general_op = ShapleyOperator(game, form="general", tol=TOL)
+            f = rng.uniform(-2, 2, game.states)
+            values, gaps = tagged_op.apply_with_gaps(f)
+            general_values, general_gaps = general_op.apply_with_gaps(f)
+            assert np.array_equal(values, general_values)
+            assert np.array_equal(gaps, general_gaps)
+            assert not gaps.any()
+            # the exact saddle check returns the pure max (min) itself
+            for k, tag in enumerate(tags):
+                A = tagged_op.state_matrix(k, f)
+                pure = A.min(axis=1).max() if tag == "p1" else A.max(axis=0).min()
+                assert values[k] == pure
+
+
+def test_switching_form_matches_general():
     rng = np.random.default_rng(44)
     d, nx, ny = 2, 4, 5
-    g = tuple(rng.uniform(-1, 1, (nx, ny)) for _ in range(d))
-    rho_rows = rng.dirichlet(np.ones(d), size=(d, nx))
-    # transitions depend on the row player only
-    rho = tuple(np.repeat(rho_rows[k][:, None, :], ny, axis=1) for k in range(d))
-    gx, gy = np.linspace(0, 1, nx)[:, None], np.linspace(0, 1, ny)[:, None]
-    game = DiscretizedGame(states=d, grids_x=(gx,) * d, grids_y=(gy,) * d,
-                           g=g, rho=rho, controller=("p1", "p1"))
+    for tags in (("p1", "p1"), ("p1", "p2"), ("p2", "p2")):
+        for _ in range(10):
+            g, rho = [], []
+            for tag in tags:
+                g.append(rng.uniform(-1, 1, (nx, ny)))
+                # transitions depend on the controlling player only
+                if tag == "p1":
+                    rows = rng.dirichlet(np.ones(d), size=nx)
+                    rho.append(np.repeat(rows[:, None, :], ny, axis=1))
+                else:
+                    cols = rng.dirichlet(np.ones(d), size=ny)
+                    rho.append(np.repeat(cols[None, :, :], nx, axis=0))
+            gx, gy = np.linspace(0, 1, nx)[:, None], np.linspace(0, 1, ny)[:, None]
+            game = DiscretizedGame(states=d, grids_x=(gx,) * d, grids_y=(gy,) * d,
+                                   g=tuple(g), rho=tuple(rho), controller=tags)
+            switching = ShapleyOperator(game, form="switching", tol=TOL)
+            general = ShapleyOperator(game, form="general", tol=TOL)
+            f = rng.uniform(-2, 2, d)
+            assert np.abs(switching.apply(f) - general.apply(f)).max() <= 2 * TOL
+
+
+def test_switching_matching_pennies_is_mixed():
+    # one absorbing state: the value is the mixed value 0, not the pure
+    # max-of-inner-min -1
+    g = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    grid = np.array([[0.0], [1.0]])
+    game = DiscretizedGame(states=1, grids_x=(grid,), grids_y=(grid,), g=(g,),
+                           rho=(np.ones((2, 2, 1)),), controller=("p1",))
     op = ShapleyOperator(game, form="switching", tol=TOL)
-    f = rng.uniform(-2, 2, d)
-    out = op.apply(f)
-    for k in range(d):
-        expected = (g[k].min(axis=1) + rho_rows[k] @ f).max()
-        assert out[k] == pytest.approx(expected, abs=1e-14)
+    values, gaps = op.apply_with_gaps(np.zeros(1))
+    assert abs(values[0]) <= TOL
+    assert gaps[0] <= TOL
 
 
 def test_form_tag_validation():

@@ -78,8 +78,9 @@ def test_discounted_argument_errors(exshap_op_coarse):
     for lam in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             discounted_value(exshap_op_coarse, lam)
-    with pytest.raises(ValueError):
-        discounted_value(exshap_op_coarse, 0.5, eps=0.0)
+    for eps in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            discounted_value(exshap_op_coarse, 0.5, eps=eps)
 
 
 def test_fixed_point_residual_and_bound():
