@@ -76,8 +76,9 @@ def _cmd_solve(args) -> int:
         result = values.discounted_value_detailed(op, args.discount, args.eps)
         v = result.value
         # one extra application certifies the fixed point independently
-        psi, gaps = op.apply_with_gaps(((1.0 - args.discount) / args.discount) * v
-                                       if args.discount < 1.0 else np.zeros(op.dim))
+        psi, gaps, _ = op.apply_with_gaps(((1.0 - args.discount) / args.discount) * v
+                                          if args.discount < 1.0 else np.zeros(op.dim),
+                                          result.hints)
         residual = float(np.abs(args.discount * psi - v).max())
         for k, vk in enumerate(v):
             print(f"state {k}: {float(vk)!r}")

@@ -4,7 +4,8 @@ A :class:`GameSpec` describes a game symbolically (expressions over action
 coordinates); :func:`discretize` turns it into a :class:`DiscretizedGame`
 holding dense payoff and transition tensors over uniform action grids.  The
 kernel of everything downstream is :func:`solve_matrix_game`, which returns a
-gap-certified mixed value of a finite zero-sum matrix game.
+gap-certified mixed value of a finite zero-sum matrix game, reusing the
+supports of a previous solution when they still certify.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import expr as ex
 from .errors import EvalDomainError, GameSpecError, MatrixGameError
@@ -29,8 +29,15 @@ __all__ = [
 # formula rather than float noise
 ROW_SUM_TOLERANCE = 1e-6
 _NEGATIVE_CLAMP = 1e-12
-# strategy weights above this count as the LP support that _polish re-solves
+# strategy weights above this count as the support that _supports returns
 _SUPPORT_THRESHOLD = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: the import
+    is most of the CLI's start-up time, and many commands solve no LP."""
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 def action_variables(prefix: str, dim: int) -> tuple[str, ...]:
@@ -281,6 +288,41 @@ def _equalizing_mix(B: np.ndarray) -> np.ndarray | None:
     return np.clip(sol[:k], 0.0, None)
 
 
+def _supports(sol: MatrixGameSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Square support pair of a solution: the rows and columns whose weight
+    exceeds ``_SUPPORT_THRESHOLD``, the longer side cut to its k heaviest
+    (k the length of the shorter side), each in ascending order."""
+    rows = np.flatnonzero(sol.row_strategy > _SUPPORT_THRESHOLD)
+    cols = np.flatnonzero(sol.col_strategy > _SUPPORT_THRESHOLD)
+    k = min(len(rows), len(cols))
+    if len(rows) > k:
+        rows = rows[np.argsort(sol.row_strategy[rows])[::-1][:k]]
+        rows.sort()
+    if len(cols) > k:
+        cols = cols[np.argsort(sol.col_strategy[cols])[::-1][:k]]
+        cols.sort()
+    return rows, cols
+
+
+def _support_solve(A: np.ndarray, rows: np.ndarray,
+                   cols: np.ndarray) -> MatrixGameSolution | None:
+    """Equalizing strategies on the square subgame ``A[rows, cols]``,
+    certified against the full matrix; None if the support is empty or its
+    equalization system has no nonnegative solution."""
+    if len(rows) == 0:
+        return None
+    B = A[np.ix_(rows, cols)]
+    p_s = _equalizing_mix(B)
+    q_s = _equalizing_mix(B.T)
+    if p_s is None or q_s is None:
+        return None
+    p = np.zeros(A.shape[0])
+    p[rows] = p_s
+    q = np.zeros(A.shape[1])
+    q[cols] = q_s
+    return _certify(A, _exact_sum_one(p), _exact_sum_one(q))
+
+
 def _polish(A: np.ndarray, sol: MatrixGameSolution) -> MatrixGameSolution:
     """Re-solve the equalization system on the LP supports.
 
@@ -289,37 +331,24 @@ def _polish(A: np.ndarray, sol: MatrixGameSolution) -> MatrixGameSolution:
     directly usually repairs them.  The re-derived strategies are verified
     against the full matrix, so a failed polish can only be discarded.
     """
-    rows = np.flatnonzero(sol.row_strategy > _SUPPORT_THRESHOLD)
-    cols = np.flatnonzero(sol.col_strategy > _SUPPORT_THRESHOLD)
-    k = min(len(rows), len(cols))
-    if k == 0:
-        return sol
-    if len(rows) > k:
-        rows = rows[np.argsort(sol.row_strategy[rows])[::-1][:k]]
-        rows.sort()
-    if len(cols) > k:
-        cols = cols[np.argsort(sol.col_strategy[cols])[::-1][:k]]
-        cols.sort()
-    B = A[np.ix_(rows, cols)]
-    p_s = _equalizing_mix(B)
-    q_s = _equalizing_mix(B.T)
-    if p_s is None or q_s is None:
-        return sol
-    p = np.zeros(A.shape[0])
-    p[rows] = p_s
-    q = np.zeros(A.shape[1])
-    q[cols] = q_s
-    polished = _certify(A, _exact_sum_one(p), _exact_sum_one(q))
-    return polished if polished.duality_gap < sol.duality_gap else sol
+    polished = _support_solve(A, *_supports(sol))
+    if polished is not None and polished.duality_gap < sol.duality_gap:
+        return polished
+    return sol
 
 
-def solve_matrix_game(A, tol: float = 1e-9) -> MatrixGameSolution:
+def solve_matrix_game(A, tol: float = 1e-9,
+                      hint: MatrixGameSolution | None = None) -> MatrixGameSolution:
     """Gap-certified mixed value of the zero-sum game with payoff matrix A.
 
-    Solved by linear programming; the returned strategies are re-checked
-    against A so the certificate is independent of the solver internals.
-    Raises :class:`MatrixGameError` if no attempt certifies a duality gap
-    within ``tol``.
+    Tried in order: an exact pure saddle; the equalizing strategies on the
+    supports of ``hint`` (a solution of a nearby game of the same shape,
+    say the previous iterate's), kept only if their certified gap is within
+    ``tol``; then linear programming, whose supports are polished the same
+    way.  Whatever the path, the returned strategies are re-checked
+    against A, so the certificate is independent of how they were found.
+    Raises :class:`MatrixGameError` if the hint's strategy lengths do not
+    match A, or if no attempt certifies a duality gap within ``tol``.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -328,10 +357,19 @@ def solve_matrix_game(A, tol: float = 1e-9) -> MatrixGameSolution:
         raise MatrixGameError("payoff matrix contains nonfinite entries")
     if not tol > 0:
         raise MatrixGameError("tol must be positive")
+    if hint is not None and (np.shape(hint.row_strategy) != (A.shape[0],)
+                             or np.shape(hint.col_strategy) != (A.shape[1],)):
+        raise MatrixGameError(
+            f"hint strategies of lengths {np.shape(hint.row_strategy)} and "
+            f"{np.shape(hint.col_strategy)} do not fit a {A.shape} payoff matrix")
 
     sol = _saddle_point(A)
     if sol is not None:
         return sol
+    if hint is not None:
+        sol = _support_solve(A, *_supports(hint))
+        if sol is not None and sol.duality_gap <= tol:
+            return sol
 
     best = None
     # presolve off is markedly faster on dense game LPs; keep slower

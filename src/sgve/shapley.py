@@ -2,7 +2,12 @@
 
 For a value vector f, component k of the operator is the mixed value of the
 matrix game ``A_k[i, j] = g[k][i, j] + sum_k' rho[k][i, j, k'] f[k']``,
-solved and gap-certified by :func:`solve_matrix_game` in every form.  The
+solved and gap-certified by :func:`solve_matrix_game` in every form.
+Repeated applications pass the per-state solutions of one apply as the
+hints of the next: a state is solved by an exact pure saddle, else by the
+equalizing strategies on its hinted supports if they certify within
+``tol``, else by an LP.  The hints are passed explicitly; the operator
+holds no state.  The
 tagged forms (Markov decision processes, perfect information, switching
 control) only declare the game class, checked against the controller tags;
 they select no other formula.  Where the untagged player of a state is a
@@ -21,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import GameSpecError
-from .game import DiscretizedGame, solve_matrix_game
+from .game import DiscretizedGame, MatrixGameSolution, solve_matrix_game
 
 __all__ = ["ShapleyOperator", "PropertyReport", "check_properties", "FORMS"]
 
@@ -66,16 +71,25 @@ class ShapleyOperator:
         """Dense one-shot payoff matrix of state k with continuation f."""
         return self.game.g[k] + self.game.rho[k] @ f
 
-    def apply_with_gaps(self, f) -> tuple[np.ndarray, np.ndarray]:
-        """Operator value together with per-state certified duality gaps."""
+    def apply_with_gaps(self, f, hints: Sequence[MatrixGameSolution] | None = None,
+                        ) -> tuple[np.ndarray, np.ndarray, tuple[MatrixGameSolution, ...]]:
+        """Operator value, per-state certified duality gaps and per-state
+        solutions.
+
+        ``hints``, if given, holds one previous solution per state (the
+        solutions this method returned for a nearby vector): a state whose
+        hinted supports still certify within ``tol`` skips its LP.  The
+        returned solutions are the hints of the next call.
+        """
         f = self._check_input(f)
-        out = np.empty(self.dim)
-        gaps = np.empty(self.dim)
-        for k in range(self.dim):
-            sol = solve_matrix_game(self.state_matrix(k, f), self.tol)
-            out[k] = sol.value
-            gaps[k] = sol.duality_gap
-        return out, gaps
+        if hints is None:
+            hints = (None,) * self.dim
+        elif len(hints) != self.dim:
+            raise GameSpecError(f"need one hint per state, got {len(hints)}")
+        sols = tuple(solve_matrix_game(self.state_matrix(k, f), self.tol, hint=hints[k])
+                     for k in range(self.dim))
+        return (np.array([s.value for s in sols]),
+                np.array([s.duality_gap for s in sols]), sols)
 
     def apply(self, f) -> np.ndarray:
         """One application of the operator to a value vector."""
@@ -115,15 +129,19 @@ def check_properties(op: ShapleyOperator,
     Monotonicity is only measurable on componentwise-ordered pairs; the
     report counts how many pairs qualified.  Homogeneity applies each
     shift in ``_HOMOGENEITY_SHIFTS`` to the first vector of every pair.
+    The solutions at f hint the solves at g and at every shift of f (the
+    same matrices plus a constant, so the same supports); those at g hint
+    the next pair.
     """
     mono = homo = nonexp = gap = 0.0
     ordered = total = 0
+    hints = None
     for f, g in samples:
         f = np.asarray(f, dtype=float)
         g = np.asarray(g, dtype=float)
         total += 1
-        pf, gf = op.apply_with_gaps(f)
-        pg, gg = op.apply_with_gaps(g)
+        pf, gf, hints_f = op.apply_with_gaps(f, hints)
+        pg, gg, hints = op.apply_with_gaps(g, hints_f)
         gap = max(gap, gf.max(), gg.max())
         nonexp = max(nonexp,
                      np.abs(pf - pg).max() - np.abs(f - g).max())
@@ -134,7 +152,7 @@ def check_properties(op: ShapleyOperator,
             ordered += 1
             mono = max(mono, (pg - pf).max())
         for c in _HOMOGENEITY_SHIFTS:
-            pc, gc = op.apply_with_gaps(f + c)
+            pc, gc, _ = op.apply_with_gaps(f + c, hints_f)
             gap = max(gap, gc.max())
             homo = max(homo, np.abs(pc - (pf + c)).max())
     return PropertyReport(monotonicity=mono, additive_homogeneity=homo,

@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import GameSpecError, IterationBudgetError
-from .game import DiscretizedGame
+from .game import DiscretizedGame, MatrixGameSolution
 from .shapley import ShapleyOperator
 
 __all__ = [
@@ -29,25 +28,29 @@ MAX_FIXED_POINT_ITERATIONS = 10 ** 6
 
 def value_iteration(op: ShapleyOperator, n: int) -> np.ndarray:
     """Value of the n-stage averaged game: n operator applications to 0,
-    divided by n."""
+    divided by n.  Each application is hinted by the previous one's
+    solutions."""
     if n < 1:
         raise ValueError("n must be >= 1")
     f = np.zeros(op.dim)
+    hints = None
     for _ in range(n):
-        f = op.apply(f)
+        f, _, hints = op.apply_with_gaps(f, hints)
     return f / n
 
 
 def n_stage_series(op: ShapleyOperator, ns: Sequence[int]) -> list[tuple[int, np.ndarray]]:
-    """n-stage values at several horizons in a single iteration pass."""
+    """n-stage values at several horizons in a single iteration pass, with
+    the same hinted applications as :func:`value_iteration`."""
     wanted = sorted(set(int(n) for n in ns))
     if not wanted or wanted[0] < 1:
         raise ValueError("horizons must be positive")
     out = []
     f = np.zeros(op.dim)
+    hints = None
     k = 0
     for n in range(1, wanted[-1] + 1):
-        f = op.apply(f)
+        f, _, hints = op.apply_with_gaps(f, hints)
         if n == wanted[k]:
             out.append((n, f / n))
             k += 1
@@ -60,34 +63,41 @@ class DiscountedResult:
     discount: float
     iterations: int
     last_step: float  # sup-norm change of the final iteration
+    # per-state solutions of the final operator application: the hints of
+    # a further application near the fixed point
+    hints: tuple[MatrixGameSolution, ...]
 
 
 def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
                               start: np.ndarray | None = None,
                               max_iterations: int = MAX_FIXED_POINT_ITERATIONS,
+                              hints: Sequence[MatrixGameSolution] | None = None,
                               ) -> DiscountedResult:
     """Discounted value via the contraction f -> lam * Psi(((1-lam)/lam) f).
 
     The map contracts with factor (1 - lam), so stopping once the step size
     drops below ``eps * lam / (1 - lam)`` guarantees a true error of at most
     ``eps`` plus matrix-game solver slack.  ``lam = 1`` returns the one-shot
-    value directly.
+    value directly.  ``hints`` are per-state solutions that hint the first
+    application (see :meth:`ShapleyOperator.apply_with_gaps`); each later
+    one is hinted by its predecessor.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"discount factor must be in (0, 1], got {lam}")
     if not eps > 0:
         raise ValueError("eps must be positive")
     if lam == 1.0:
-        v = op.apply(np.zeros(op.dim))
-        return DiscountedResult(v, lam, 1, 0.0)
+        v, _, hints = op.apply_with_gaps(np.zeros(op.dim), hints)
+        return DiscountedResult(v, lam, 1, 0.0, hints)
     f = np.zeros(op.dim) if start is None else np.asarray(start, dtype=float).copy()
     threshold = eps * lam / (1.0 - lam)
     for it in range(1, max_iterations + 1):
-        fn = lam * op.apply(((1.0 - lam) / lam) * f)
+        psi, _, hints = op.apply_with_gaps(((1.0 - lam) / lam) * f, hints)
+        fn = lam * psi
         step = float(np.abs(fn - f).max())
         f = fn
         if step <= threshold:
-            return DiscountedResult(f, lam, it, step)
+            return DiscountedResult(f, lam, it, step, hints)
     raise IterationBudgetError(
         f"discounted fixed point at lam={lam} did not reach step {threshold:.3e} "
         f"within {max_iterations} iterations")
@@ -138,6 +148,8 @@ def fit_power_law(lams: np.ndarray, values: np.ndarray) -> PowerLawFit:
     limit is the smallest-lambda value corrected per coordinate by the
     fitted power law.
     """
+    from scipy.optimize import least_squares
+
     lams = np.asarray(lams, dtype=float)
     values = np.asarray(values, dtype=float)
     vmin = values[-1]
@@ -179,7 +191,8 @@ def vanishing_discount(op: ShapleyOperator,
     extrapolate their common limit with n-stage values.
 
     Each fixed point warm-starts from the previous one scaled geometrically,
-    which keeps the contraction iterations short at small lambda.
+    which keeps the contraction iterations short at small lambda, and its
+    first application is hinted by the previous fixed point's solutions.
     """
     lams = default_lambda_grid() if lam_grid is None else np.asarray(lam_grid, float)
     if len(lams) < 4:
@@ -187,13 +200,13 @@ def vanishing_discount(op: ShapleyOperator,
     if not (np.all(lams > 0) and np.all(np.diff(lams) < 0)):
         raise ValueError("lambda grid must be positive and decreasing")
     values = []
-    guess = None
+    guess = hints = None
     for j, lam in enumerate(lams):
         if guess is not None:
             guess = guess * (lam / lams[j - 1])
-        v = discounted_value_detailed(op, float(lam), eps, start=guess).value
-        values.append(v)
-        guess = v
+        r = discounted_value_detailed(op, float(lam), eps, start=guess, hints=hints)
+        values.append(r.value)
+        guess, hints = r.value, r.hints
     return fit_power_law(lams, np.array(values))
 
 
@@ -238,7 +251,8 @@ def operator_distance(op1: ShapleyOperator, op2: ShapleyOperator,
 
     Always includes 0 and +/- radius * ones; the remaining samples are
     uniform in the radius box, drawn from a fixed seed.  A lower bound on
-    the true sup over all vectors.
+    the true sup over all vectors.  Each operator's solutions at one sample
+    hint its solves at the next.
     """
     if op1.dim != op2.dim:
         raise GameSpecError("operators must share the state space")
@@ -247,7 +261,13 @@ def operator_distance(op1: ShapleyOperator, op2: ShapleyOperator,
     samples = [np.zeros(d), np.full(d, radius), np.full(d, -radius)]
     samples.extend(rng.uniform(-radius, radius, (sample_count, d)))
     samples.extend(np.asarray(s, dtype=float) for s in extra_samples)
-    return max(float(np.abs(op1.apply(f) - op2.apply(f)).max()) for f in samples)
+    dist = 0.0
+    hints1 = hints2 = None
+    for f in samples:
+        v1, _, hints1 = op1.apply_with_gaps(f, hints1)
+        v2, _, hints2 = op2.apply_with_gaps(f, hints2)
+        dist = max(dist, float(np.abs(v1 - v2).max()))
+    return dist
 
 
 @dataclass(frozen=True)
@@ -270,17 +290,19 @@ def iterate_deviation_check(op1: ShapleyOperator, op2: ShapleyOperator,
 
     The sampled distance includes both iterate trajectories, which is what
     the inductive argument behind the bound actually telescopes over.
+    Each trajectory's applications are hinted by its previous step.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     f1 = np.zeros(op1.dim)
     f2 = np.zeros(op2.dim)
+    hints1 = hints2 = None
     trajectory = []
     for _ in range(n):
         trajectory.append(f1)
         trajectory.append(f2)
-        f1 = op1.apply(f1)
-        f2 = op2.apply(f2)
+        f1, _, hints1 = op1.apply_with_gaps(f1, hints1)
+        f2, _, hints2 = op2.apply_with_gaps(f2, hints2)
     deviation = float(np.abs(f1 - f2).max())
     dist = operator_distance(op1, op2, sample_count, radius, seed,
                              extra_samples=trajectory)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgve
 from sgve import bench
 from sgve.cli import main
 from sgve.errors import GameSpecError
@@ -245,3 +250,16 @@ def test_bench_suite_runs(capsys):
     assert code == 0
     assert out.count("[PASS]") == 2
     assert "all 2 criteria passed" in out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the CLI loads scipy.optimize on its first LP or fit, so --help,
+    # parser rejections and `sgve growth` skip its import time
+    src = str(Path(sgve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sgve.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

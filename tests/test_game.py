@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from sgve import bench, expr
 from sgve import game as game_module
 from sgve.errors import EvalDomainError, GameSpecError, MatrixGameError
-from sgve.game import (GameSpec, discretize, matrix_game_bruteforce,
-                       solve_matrix_game, uniform_grid)
+from sgve.game import (GameSpec, MatrixGameSolution, discretize,
+                       matrix_game_bruteforce, solve_matrix_game, uniform_grid)
 from sgve.gamefile import game_spec_from_document
 
 TOL = 1e-9
@@ -283,3 +283,57 @@ def test_lp_best_gap_when_no_configuration_certifies(monkeypatch):
     with pytest.raises(MatrixGameError) as err:
         solve_matrix_game([[1, -1], [-1, 1]], TOL)
     assert err.value.best_gap == 1.0
+
+
+# fully mixed 3x3 game (a skewed rock-paper-scissors): every row and column
+# is in the optimal support, so no pure saddle exists
+_MIXED = np.array([[0.0, -1.0, 2.0], [1.5, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+
+
+def _forbid_lp(monkeypatch):
+    def linprog(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(game_module, "linprog", linprog)
+
+
+def test_hint_certifies_perturbed_game_without_lp(monkeypatch):
+    rng = np.random.default_rng(7)
+    hint = solve_matrix_game(_MIXED, TOL)
+    A = _MIXED + rng.uniform(-1e-3, 1e-3, _MIXED.shape)
+    expected = solve_matrix_game(A, TOL)
+    _forbid_lp(monkeypatch)
+    sol = solve_matrix_game(A, TOL, hint=hint)
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(A, sol)
+    assert abs(sol.value - expected.value) <= 2 * TOL
+
+
+def test_stale_hint_falls_back_to_lp(monkeypatch):
+    # the hint's support (row 0, column 0) is not optimal for _MIXED
+    stale = MatrixGameSolution(0.0, np.array([1.0, 0.0, 0.0]),
+                               np.array([1.0, 0.0, 0.0]), 0.0)
+    calls = _fail_lp_configs(monkeypatch, ())
+    sol = solve_matrix_game(_MIXED, TOL, hint=stale)
+    assert calls == _LP_CONFIGS[:1]
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(_MIXED, sol)
+    assert abs(sol.value - matrix_game_bruteforce(_MIXED)) <= 2 * TOL
+
+
+def test_hint_of_wrong_shape_raises():
+    hint = solve_matrix_game([[3, 1], [0, 2]], TOL)
+    for A in (_MIXED, [[3, 1, 2], [0, 2, 1]], [[1.0]]):
+        with pytest.raises(MatrixGameError, match="hint strategies"):
+            solve_matrix_game(A, TOL, hint=hint)
+
+
+def test_pure_saddle_ignores_mixed_hint(monkeypatch):
+    A = np.array([[1.0, 2.0], [0.0, 3.0]])  # saddle at row 0, column 0
+    hint = MatrixGameSolution(1.5, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.0)
+    _forbid_lp(monkeypatch)
+    sol = solve_matrix_game(A, TOL, hint=hint)
+    assert sol.value == 1.0
+    assert sol.duality_gap == 0.0
+    assert sol.row_strategy.tolist() == [1.0, 0.0]
+    assert sol.col_strategy.tolist() == [1.0, 0.0]

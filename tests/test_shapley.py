@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sgve import bench
+from sgve import game as game_module
 from sgve.errors import GameSpecError
 from sgve.game import DiscretizedGame, discretize
 from sgve.shapley import ShapleyOperator, check_properties
@@ -140,8 +141,8 @@ def test_pure_forms_equal_general_bit_for_bit(form, tag_choices):
             tagged_op = ShapleyOperator(game, form=form, tol=TOL)
             general_op = ShapleyOperator(game, form="general", tol=TOL)
             f = rng.uniform(-2, 2, game.states)
-            values, gaps = tagged_op.apply_with_gaps(f)
-            general_values, general_gaps = general_op.apply_with_gaps(f)
+            values, gaps, _ = tagged_op.apply_with_gaps(f)
+            general_values, general_gaps, _ = general_op.apply_with_gaps(f)
             assert np.array_equal(values, general_values)
             assert np.array_equal(gaps, general_gaps)
             assert not gaps.any()
@@ -184,9 +185,36 @@ def test_switching_matching_pennies_is_mixed():
     game = DiscretizedGame(states=1, grids_x=(grid,), grids_y=(grid,), g=(g,),
                            rho=(np.ones((2, 2, 1)),), controller=("p1",))
     op = ShapleyOperator(game, form="switching", tol=TOL)
-    values, gaps = op.apply_with_gaps(np.zeros(1))
+    values, gaps, _ = op.apply_with_gaps(np.zeros(1))
     assert abs(values[0]) <= TOL
     assert gaps[0] <= TOL
+
+
+def test_shifted_vector_reuses_hints(monkeypatch):
+    # Psi(f + c) solves the matrices of Psi(f) plus c: the hinted supports
+    # certify every state, so no LP runs
+    rng = np.random.default_rng(46)
+    op = ShapleyOperator(random_game(rng), tol=TOL)
+    f = rng.uniform(-2, 2, op.dim)
+    values, gaps, hints = op.apply_with_gaps(f)
+    assert len(hints) == op.dim
+    assert [h.value for h in hints] == values.tolist()
+
+    def linprog(*args, **kwargs):
+        raise AssertionError("linprog called")
+
+    monkeypatch.setattr(game_module, "linprog", linprog)
+    for c in (-10.0, 0.7, 10.0):
+        shifted, shifted_gaps, _ = op.apply_with_gaps(f + c, hints)
+        assert shifted_gaps.max() <= TOL
+        assert np.abs(shifted - (values + c)).max() <= 2 * TOL
+
+
+def test_hint_count_must_match_states():
+    op = ShapleyOperator(constant_game(2, 1.0), tol=TOL)
+    _, _, hints = op.apply_with_gaps(np.zeros(2))
+    with pytest.raises(GameSpecError, match="one hint per state"):
+        op.apply_with_gaps(np.zeros(2), hints[:1])
 
 
 def test_form_tag_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgve import bench
+from sgve import game as game_module
 from sgve.errors import GameSpecError
 from sgve.game import DiscretizedGame, discretize
 from sgve.shapley import ShapleyOperator
@@ -48,6 +49,41 @@ def test_value_iteration_one_stage_benchmark(exshap_op):
     v1 = value_iteration(exshap_op, 1)
     assert v1[0] == 0.0
     assert abs(v1[1] - 0.5) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def common_limit_ops():
+    """The five random 3-state games of acceptance criterion 4."""
+    rng = np.random.default_rng(bench._SEED + 4)
+    return [ShapleyOperator(bench.random_discretized_game(rng, states=3, max_actions=5),
+                            tol=TOL) for _ in range(5)]
+
+
+def test_value_iteration_matches_unhinted_loop(common_limit_ops):
+    n = 200
+    for op in common_limit_ops:
+        f = np.zeros(op.dim)
+        for _ in range(n):
+            f, gaps, _ = op.apply_with_gaps(f)
+        assert gaps.max() <= TOL
+        assert np.abs(value_iteration(op, n) - f / n).max() <= 2 * TOL
+
+
+def test_value_iteration_warm_start_skips_lps(common_limit_ops, monkeypatch):
+    # guards the warm start: without hints every iterate of a state that is
+    # not a pure saddle would solve an LP (up to 600 per game here)
+    calls = []
+    real = game_module.linprog
+
+    def linprog(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(game_module, "linprog", linprog)
+    for op in common_limit_ops:
+        calls.clear()
+        value_iteration(op, 200)
+        assert len(calls) <= 2 * op.dim
 
 
 def test_n_stage_series_matches_value_iteration(exshap_op_coarse):
