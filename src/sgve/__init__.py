@@ -2,10 +2,10 @@
 
 Solver library for finite-state zero-sum stochastic games over compact
 action boxes: gap-certified matrix games, the per-state dynamic programming
-operator and its tagged pure forms, n-stage and discounted values, their
-common vanishing-discount limit with power-law extrapolation, parametric
-one-shot games, and geometric growth rates of order-preserving maps through
-log/exp conjugation.
+operator (whose tagged forms only declare the game class), n-stage and
+discounted values, their common vanishing-discount limit with power-law
+extrapolation, parametric one-shot games, and geometric growth rates of
+order-preserving maps through log/exp conjugation.
 """
 from .errors import (EvalDomainError, ExprSyntaxError, GameSpecError,
                      IterationBudgetError, MatrixGameError, PositivityError,

@@ -27,12 +27,15 @@ from .shapley import ShapleyOperator, check_properties
 __all__ = [
     "CriterionResult", "SUITES", "run_suite", "run_criteria",
     "exshap_game_file", "exshap_spec", "exshap_discounted_oracle",
-    "mckinsey_oracle_expr", "builtin_game_file",
+    "builtin_game_file",
     "random_discretized_game", "perron_root", "kl_dual_grid_max",
     "kl_dual_certified_slack",
 ]
 
 _SEED = 20260801  # fixed so bench output is byte-identical across runs
+# duality-gap tolerance of the benchmark-grid solves of criteria 1-4 and 6;
+# the other criteria state their own tolerances
+GRID_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +54,13 @@ def exshap_game_file() -> dict:
     }
 
 
-def mckinsey_game_file(z: float = 1.0) -> dict:
-    """The parametric square benchmark at a fixed parameter, as a one-state
-    absorbing game file (one-shot value shows up as the lam = 1 solve)."""
-    zs = repr(float(z))
+def mckinsey_game_file() -> dict:
+    """The parametric square benchmark at z = 1, as a one-state absorbing
+    game file (one-shot value shows up as the lam = 1 solve)."""
     return {
         "states": 1,
         "actions": {"x": [[0.0, 1.0]], "y": [[0.0, 1.0]]},
-        "payoff": [f"(1+x)*(1+y*{zs})/(2*(1+x*y)^2)"],
+        "payoff": ["(1+x)*(1+y*1.0)/(2*(1+x*y)^2)"],
         "transition": [["1"]],
     }
 
@@ -74,11 +76,6 @@ def builtin_game_file(name: str) -> dict:
 def exshap_spec() -> GameSpec:
     from .gamefile import game_spec_from_document
     return game_spec_from_document(exshap_game_file())[0]
-
-
-def mckinsey_oracle_expr() -> ex.Expr:
-    """Closed-form value of the parametric benchmark as an expression."""
-    return ex.parse("z/(2*log(1+z))", ["z"])
 
 
 def exshap_discounted_oracle() -> ex.Expr:
@@ -188,11 +185,11 @@ def _result(index, name, passed, summary, details=()):
     return CriterionResult(index, name, bool(passed), summary, tuple(details))
 
 
-def criterion_1_mckinsey_oracle(solver_tol: float = 1e-6) -> CriterionResult:
+def criterion_1_mckinsey_oracle() -> CriterionResult:
     tol = 5e-3
     details, worst = [], 0.0
     for z in (0.25, 0.5, 1.0):
-        grid = parametric.mckinsey_grid_value(z, resolution=201, tol=solver_tol)
+        grid = parametric.mckinsey_grid_value(z, resolution=201, tol=GRID_TOL)
         closed = parametric.mckinsey_value(z)
         err = abs(grid - closed)
         worst = max(worst, err)
@@ -201,9 +198,9 @@ def criterion_1_mckinsey_oracle(solver_tol: float = 1e-6) -> CriterionResult:
                    f"max |grid - closed| = {worst:.2e} <= {tol:g}", details)
 
 
-def criterion_2_discounted_oracle(solver_tol: float = 1e-6) -> CriterionResult:
+def criterion_2_discounted_oracle() -> CriterionResult:
     tol = 1e-2
-    op = ShapleyOperator(discretize(exshap_spec(), 201), tol=solver_tol)
+    op = ShapleyOperator(discretize(exshap_spec(), 201), tol=GRID_TOL)
     details, worst = [], 0.0
     for lam in (0.1, 0.25, 0.5, 0.9):
         v = values.discounted_value(op, lam, eps=1e-5)
@@ -215,8 +212,8 @@ def criterion_2_discounted_oracle(solver_tol: float = 1e-6) -> CriterionResult:
                    f"max |v_lam - closed| = {worst:.2e} <= {tol:g}", details)
 
 
-def criterion_3_vanishing_fit(solver_tol: float = 1e-6) -> CriterionResult:
-    op = ShapleyOperator(discretize(exshap_spec(), 201), tol=solver_tol)
+def criterion_3_vanishing_fit() -> CriterionResult:
+    op = ShapleyOperator(discretize(exshap_spec(), 201), tol=GRID_TOL)
     fit = values.vanishing_discount(op, eps=1e-6)
     c_target = math.exp(0.5) - 1.0
     lim_err = float(np.abs(fit.limit).max())
@@ -229,10 +226,10 @@ def criterion_3_vanishing_fit(solver_tol: float = 1e-6) -> CriterionResult:
         (f"residual={fit.residual:.3f}",))
 
 
-def criterion_4_common_limit(solver_tol: float = 1e-6) -> CriterionResult:
+def criterion_4_common_limit() -> CriterionResult:
     tol = 5e-2
     rng = np.random.default_rng(_SEED + 4)
-    cases = [("exshap", ShapleyOperator(discretize(exshap_spec(), 101), tol=solver_tol))]
+    cases = [("exshap", ShapleyOperator(discretize(exshap_spec(), 101), tol=GRID_TOL))]
     for i in range(5):
         game = random_discretized_game(rng, states=3, max_actions=5)
         cases.append((f"random-{i}", ShapleyOperator(game, tol=1e-9)))
@@ -290,17 +287,17 @@ def _perturbed_payoff_spec(base: GameSpec, eps: float, smooth: bool) -> GameSpec
                     controller=base.controller)
 
 
-def criterion_6_perturbation_transfer(solver_tol: float = 1e-6) -> CriterionResult:
+def criterion_6_perturbation_transfer() -> CriterionResult:
     resolution = 51
     base_spec = exshap_spec()
-    base_op = ShapleyOperator(discretize(base_spec, resolution), tol=solver_tol)
+    base_op = ShapleyOperator(discretize(base_spec, resolution), tol=GRID_TOL)
     base_fit = values.vanishing_discount(base_op, eps=1e-6)
     details = []
     ok = True
     for eps in (1e-3, 1e-2):
         for smooth in (False, True):
             spec = _perturbed_payoff_spec(base_spec, eps, smooth)
-            op = ShapleyOperator(discretize(spec, resolution), tol=solver_tol)
+            op = ShapleyOperator(discretize(spec, resolution), tol=GRID_TOL)
             fit = values.vanishing_discount(op, eps=1e-6)
             shift = float(np.abs(fit.limit - base_fit.limit).max())
             shift_ok = shift <= eps + 1e-3
@@ -411,17 +408,11 @@ SUITES = {
 }
 
 
-# criteria whose benchmark-grid solves accept a duality-gap override; the
-# remaining criteria pin their tolerances as part of the criterion statement
-_TOL_AWARE = {1, 2, 3, 4, 6}
+def run_criteria(indices) -> list[CriterionResult]:
+    return [_CRITERIA[i]() for i in indices]
 
 
-def run_criteria(indices, solver_tol: float = 1e-6) -> list[CriterionResult]:
-    return [_CRITERIA[i](solver_tol) if i in _TOL_AWARE else _CRITERIA[i]()
-            for i in indices]
-
-
-def run_suite(name: str, solver_tol: float = 1e-6) -> list[CriterionResult]:
+def run_suite(name: str) -> list[CriterionResult]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return run_criteria(SUITES[name], solver_tol)
+    return run_criteria(SUITES[name])

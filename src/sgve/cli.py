@@ -123,7 +123,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    results = run_suite(args.suite, solver_tol=args.tol)
+    results = run_suite(args.suite)
     failed = 0
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
@@ -188,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run the acceptance benchmark suites")
     bench.add_argument("--suite", required=True, choices=sorted(SUITES))
-    bench.add_argument("--tol", type=_positive_float, default=1e-6,
-                       help="duality-gap tolerance for the benchmark-grid "
-                            "solves (criterion-pinned tolerances are fixed)")
     bench.set_defaults(run=_cmd_bench)
 
     growth = sub.add_parser("growth", help="geometric growth rate of a monotone map")

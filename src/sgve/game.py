@@ -80,14 +80,6 @@ class GameSpec:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise GameSpecError(f"bad box bounds ({lo}, {hi})")
 
-    @property
-    def x_vars(self) -> tuple[str, ...]:
-        return action_variables("x", len(self.x_box))
-
-    @property
-    def y_vars(self) -> tuple[str, ...]:
-        return action_variables("y", len(self.y_box))
-
 
 @dataclass(frozen=True)
 class DiscretizedGame:
@@ -127,26 +119,19 @@ class MatrixGameSolution:
     duality_gap: float
 
 
-def uniform_grid(box: Sequence[tuple[float, float]], resolution) -> np.ndarray:
-    """Product of uniform per-coordinate meshes including box endpoints.
+def uniform_grid(box: Sequence[tuple[float, float]], resolution: int) -> np.ndarray:
+    """Product of uniform meshes of ``resolution`` points (>= 2) on every
+    coordinate of the box, endpoints included.
 
-    ``resolution`` is an int or a per-coordinate sequence of ints (>= 2).
-    Returns an (n_points, dim) array in row-major order of the coordinate
-    meshes.
+    Returns a (resolution ** dim, dim) array in row-major order of the
+    coordinate meshes.
     """
-    dim = len(box)
-    if np.isscalar(resolution):
-        resolution = [int(resolution)] * dim
-    if len(resolution) != dim:
-        raise GameSpecError("resolution must match the box dimension")
-    axes = []
-    for (lo, hi), r in zip(box, resolution):
-        r = int(r)
-        if r < 2:
-            raise GameSpecError("grid resolution must be >= 2 per dimension")
-        axes.append(np.linspace(lo, hi, r))
+    resolution = int(resolution)
+    if resolution < 2:
+        raise GameSpecError("grid resolution must be >= 2 per dimension")
+    axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    return pts.reshape(-1, dim)
+    return pts.reshape(-1, len(box))
 
 
 def _product_bindings(xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
@@ -175,23 +160,19 @@ def _exact_row_sums(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def discretize(spec: GameSpec, resolution) -> DiscretizedGame:
+def discretize(spec: GameSpec, resolution: int) -> DiscretizedGame:
     """Evaluate a symbolic game on uniform action grids.
 
-    ``resolution`` may be a single int (shared by both boxes), a pair
-    ``(rx, ry)``, or a pair of per-coordinate lists.  An expression that is
-    nonfinite anywhere on the grid raises :class:`EvalDomainError` naming
-    its slot and the first offending grid node.  Transition rows whose
+    Both action boxes get :func:`uniform_grid` meshes of ``resolution``
+    points per coordinate.  An expression that is nonfinite anywhere on
+    the grid raises :class:`EvalDomainError` naming its slot and the first
+    offending grid node.  Transition rows whose
     pre-normalization sum deviates from one by more than ``ROW_SUM_TOLERANCE``
     (or with entries below ``-1e-12``) raise :class:`GameSpecError`; smaller
     deviations are silently renormalized to sum exactly to one.
     """
-    if np.isscalar(resolution):
-        res_x = res_y = resolution
-    else:
-        res_x, res_y = resolution
-    xs = uniform_grid(spec.x_box, res_x)
-    ys = uniform_grid(spec.y_box, res_y)
+    xs = uniform_grid(spec.x_box, resolution)
+    ys = uniform_grid(spec.y_box, resolution)
     bind = _product_bindings(xs, ys)
 
     def on_grid(e: ex.Expr, what: str) -> np.ndarray:
@@ -270,22 +251,30 @@ def _lp_solve(A: np.ndarray, **options):
     return _certify(A, p, q)
 
 
-def _equalizing_mix(B: np.ndarray) -> np.ndarray | None:
-    """Row mix equalizing the columns of the square kernel B, or None."""
+def _equalizing_mixes(B: np.ndarray) -> np.ndarray | None:
+    """Row and column mixes equalizing the square kernel B, as the rows of
+    a (2, k) array, or None.
+
+    The row mix p solves ``[B^T -1; 1 0] (p, v) = (0, 1)`` and the column
+    mix the same system with B; both are one stacked solve.  The two
+    bordered matrices have the same determinant, so they are singular
+    together.
+    """
     k = B.shape[0]
-    M = np.zeros((k + 1, k + 1))
-    M[:k, :k] = B.T
-    M[:k, k] = -1.0
-    M[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
+    M = np.zeros((2, k + 1, k + 1))
+    M[0, :k, :k] = B.T
+    M[1, :k, :k] = B
+    M[:, :k, k] = -1.0
+    M[:, k, :k] = 1.0
+    rhs = np.zeros((2, k + 1, 1))
+    rhs[:, k] = 1.0
     try:
-        sol = np.linalg.solve(M, rhs)
+        mixes = np.linalg.solve(M, rhs)[:, :k, 0]
     except np.linalg.LinAlgError:
         return None
-    if sol[:k].min() < -1e-10:
+    if mixes.min() < -1e-10:
         return None
-    return np.clip(sol[:k], 0.0, None)
+    return np.clip(mixes, 0.0, None)
 
 
 def _supports(sol: MatrixGameSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -311,15 +300,13 @@ def _support_solve(A: np.ndarray, rows: np.ndarray,
     equalization system has no nonnegative solution."""
     if len(rows) == 0:
         return None
-    B = A[np.ix_(rows, cols)]
-    p_s = _equalizing_mix(B)
-    q_s = _equalizing_mix(B.T)
-    if p_s is None or q_s is None:
+    mixes = _equalizing_mixes(A[np.ix_(rows, cols)])
+    if mixes is None:
         return None
     p = np.zeros(A.shape[0])
-    p[rows] = p_s
+    p[rows] = mixes[0]
     q = np.zeros(A.shape[1])
-    q[cols] = q_s
+    q[cols] = mixes[1]
     return _certify(A, _exact_sum_one(p), _exact_sum_one(q))
 
 
@@ -374,7 +361,10 @@ def solve_matrix_game(A, tol: float = 1e-9,
     best = None
     # presolve off is markedly faster on dense game LPs; keep slower
     # configurations as fallbacks for numerically awkward matrices ("highs"
-    # already runs dual simplex, so no separate dual-simplex retry)
+    # already runs dual simplex, so no separate dual-simplex retry).  On
+    # scipy 1.17 both simplex runs stop above a 1e-9 gap, polish included,
+    # on many McKinsey payoff grids (z = 1 at 7 points: 2.4e-8), where
+    # highs-ipm certifies
     for opts in ({"method": "highs", "options": {"presolve": False}},
                  {"method": "highs", "options": {"presolve": True}},
                  {"method": "highs-ipm", "options": {"presolve": True}}):

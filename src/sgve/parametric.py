@@ -78,26 +78,24 @@ class ConvexGameSpec:
     payoff: ex.Expr  # in x-vars, y-vars, and parameter names
     x_box: tuple[tuple[float, float], ...]
     y_box: tuple[tuple[float, float], ...]
-    convex_in_y: bool = True
 
 
-def convexity_spot_check(spec: ConvexGameSpec, z: Mapping[str, float],
-                         segments: int = 64, seed: int = 0,
-                         slack: float = 1e-9) -> float:
-    """Worst midpoint-convexity violation of y -> g(x, y, z) on random
-    segments; <= slack for genuinely convex payoffs."""
-    rng = np.random.default_rng(seed)
+def convexity_spot_check(spec: ConvexGameSpec, z: Mapping[str, float]) -> float:
+    """Worst midpoint-convexity violation of y -> g(x, y, z) on 64 random
+    segments drawn with seed 0; raises :class:`GameSpecError` above 1e-9,
+    a slack genuinely convex payoffs stay within."""
+    rng = np.random.default_rng(0)
     p, q = len(spec.x_box), len(spec.y_box)
     # per segment, in stream order: x, then the endpoints y1 and y2
     lo, hi = np.array(spec.x_box + spec.y_box + spec.y_box).T
-    draws = rng.uniform(lo, hi, (segments, p + 2 * q))
+    draws = rng.uniform(lo, hi, (64, p + 2 * q))
     x, y1, y2 = draws[:, :p], draws[:, p:p + q], draws[:, p + q:]
-    y = np.stack([(y1 + y2) / 2, y1, y2])  # (3, segments, q)
+    y = np.stack([(y1 + y2) / 2, y1, y2])  # (3, 64, q)
     bind = {**dict(z), **dict(zip(action_variables("x", p), x.T)),
             **dict(zip(action_variables("y", q), np.moveaxis(y, -1, 0)))}
     gm, g1, g2 = ex.evaluate(spec.payoff, bind)
     worst = float(np.max(gm - (g1 + g2) / 2, initial=0.0))
-    if worst > slack:
+    if worst > 1e-9:
         raise GameSpecError(
             f"payoff declared convex in y violates midpoint convexity by {worst:.3e}")
     return worst
@@ -111,8 +109,7 @@ def payoff_grid(spec: ConvexGameSpec, z: Mapping[str, float],
 
 
 def convex_value(spec: ConvexGameSpec, z: Mapping[str, float],
-                 resolution: int, tol: float = 1e-9,
-                 max_points: int = CONVEX_SUPPORT_POINT_LIMIT) -> float:
+                 resolution: int, tol: float = 1e-9) -> float:
     """Value via maximizer supports of at most q+1 grid points.
 
     With the payoff convex in y, the maximizer has an optimal mixture
@@ -120,17 +117,17 @@ def convex_value(spec: ConvexGameSpec, z: Mapping[str, float],
     value is the best restricted matrix game over all such supports.  Each
     restriction can only lower the value, so the result never exceeds the
     full grid value; convexity makes the two agree up to discretization.
+    Maximizer grids of more than ``CONVEX_SUPPORT_POINT_LIMIT`` (65)
+    points are refused.
     """
-    if not spec.convex_in_y:
-        raise GameSpecError("convexity declaration flag is not set")
     q = len(spec.y_box)
     if q > 2:
         raise GameSpecError("convex-payoff reduction supports y-dimension <= 2")
     G = payoff_grid(spec, z, resolution)
     nx = G.shape[0]
-    if nx > max_points:
-        raise GameSpecError(
-            f"support enumeration budget exceeded: {nx} > {max_points} grid points")
+    if nx > CONVEX_SUPPORT_POINT_LIMIT:
+        raise GameSpecError(f"support enumeration budget exceeded: {nx} > "
+                            f"{CONVEX_SUPPORT_POINT_LIMIT} grid points")
     best = -math.inf
     for support in itertools.combinations(range(nx), min(q + 1, nx)):
         sub = G[list(support), :]

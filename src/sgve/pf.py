@@ -66,9 +66,6 @@ class MonotoneMap:
                         f"all-zero weight vector in coordinate {i}: "
                         "map would not preserve positivity")
 
-    def weight_arrays(self) -> list[np.ndarray]:
-        return [np.asarray(fam, dtype=float) for fam in self.weights]
-
 
 def min_linear(weights) -> MonotoneMap:
     """Map whose coordinate i is the minimum of <p, f> over its family."""
@@ -95,7 +92,7 @@ def _coordinate_values(T: MonotoneMap, f: np.ndarray) -> np.ndarray:
         bind = {f"f{i + 1}": float(f[i]) for i in range(T.d)}
         return np.array([ex.evaluate(e, bind) for e in T.exprs])
     reduce = np.min if T.kind == "minLinear" else np.max
-    return np.array([reduce(W @ f) for W in T.weight_arrays()])
+    return np.array([reduce(np.asarray(fam, dtype=float) @ f) for fam in T.weights])
 
 
 def apply_map(T: MonotoneMap, f) -> np.ndarray:

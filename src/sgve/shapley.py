@@ -95,9 +95,6 @@ class ShapleyOperator:
         """One application of the operator to a value vector."""
         return self.apply_with_gaps(f)[0]
 
-    def __call__(self, f) -> np.ndarray:
-        return self.apply(f)
-
 
 @dataclass(frozen=True)
 class PropertyReport:

@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 INCREMENT_FLOOR = 1e-12
+# iteration budget of the discounted fixed point, read at each call
 MAX_FIXED_POINT_ITERATIONS = 10 ** 6
 
 
@@ -70,7 +71,6 @@ class DiscountedResult:
 
 def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
                               start: np.ndarray | None = None,
-                              max_iterations: int = MAX_FIXED_POINT_ITERATIONS,
                               hints: Sequence[MatrixGameSolution] | None = None,
                               ) -> DiscountedResult:
     """Discounted value via the contraction f -> lam * Psi(((1-lam)/lam) f).
@@ -80,7 +80,8 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
     ``eps`` plus matrix-game solver slack.  ``lam = 1`` returns the one-shot
     value directly.  ``hints`` are per-state solutions that hint the first
     application (see :meth:`ShapleyOperator.apply_with_gaps`); each later
-    one is hinted by its predecessor.
+    one is hinted by its predecessor.  More than
+    ``MAX_FIXED_POINT_ITERATIONS`` steps raise :class:`IterationBudgetError`.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"discount factor must be in (0, 1], got {lam}")
@@ -91,7 +92,7 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
         return DiscountedResult(v, lam, 1, 0.0, hints)
     f = np.zeros(op.dim) if start is None else np.asarray(start, dtype=float).copy()
     threshold = eps * lam / (1.0 - lam)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
         psi, _, hints = op.apply_with_gaps(((1.0 - lam) / lam) * f, hints)
         fn = lam * psi
         step = float(np.abs(fn - f).max())
@@ -100,12 +101,11 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
             return DiscountedResult(f, lam, it, step, hints)
     raise IterationBudgetError(
         f"discounted fixed point at lam={lam} did not reach step {threshold:.3e} "
-        f"within {max_iterations} iterations")
+        f"within {MAX_FIXED_POINT_ITERATIONS} iterations")
 
 
-def discounted_value(op: ShapleyOperator, lam: float, eps: float = 1e-9,
-                     start: np.ndarray | None = None) -> np.ndarray:
-    return discounted_value_detailed(op, lam, eps, start).value
+def discounted_value(op: ShapleyOperator, lam: float, eps: float = 1e-9) -> np.ndarray:
+    return discounted_value_detailed(op, lam, eps).value
 
 
 @dataclass(frozen=True)
@@ -244,22 +244,20 @@ def rate_fit(series: Iterable[tuple[int, np.ndarray]], v_inf) -> RateFit:
 
 
 def operator_distance(op1: ShapleyOperator, op2: ShapleyOperator,
-                      sample_count: int = 16, radius: float = 1.0,
-                      seed: int = 0,
                       extra_samples: Iterable[np.ndarray] = ()) -> float:
     """Largest sup-norm disagreement over sampled value vectors.
 
-    Always includes 0 and +/- radius * ones; the remaining samples are
-    uniform in the radius box, drawn from a fixed seed.  A lower bound on
-    the true sup over all vectors.  Each operator's solutions at one sample
+    The samples are 0, +/- ones, 16 vectors uniform in [-1, 1]^d drawn
+    with seed 0, then ``extra_samples``.  A lower bound on the true sup
+    over all vectors.  Each operator's solutions at one sample
     hint its solves at the next.
     """
     if op1.dim != op2.dim:
         raise GameSpecError("operators must share the state space")
     d = op1.dim
-    rng = np.random.default_rng(seed)
-    samples = [np.zeros(d), np.full(d, radius), np.full(d, -radius)]
-    samples.extend(rng.uniform(-radius, radius, (sample_count, d)))
+    rng = np.random.default_rng(0)
+    samples = [np.zeros(d), np.ones(d), -np.ones(d)]
+    samples.extend(rng.uniform(-1.0, 1.0, (16, d)))
     samples.extend(np.asarray(s, dtype=float) for s in extra_samples)
     dist = 0.0
     hints1 = hints2 = None
@@ -283,12 +281,12 @@ class DeviationCheck:
 
 
 def iterate_deviation_check(op1: ShapleyOperator, op2: ShapleyOperator,
-                            n: int, sample_count: int = 16,
-                            radius: float = 1.0, seed: int = 0) -> DeviationCheck:
+                            n: int) -> DeviationCheck:
     """Verify that n-fold iterates of two operators stay within
     n * distance (+ solver slack) of each other.
 
-    The sampled distance includes both iterate trajectories, which is what
+    The distance is :func:`operator_distance` over its fixed samples and
+    both iterate trajectories, which is what
     the inductive argument behind the bound actually telescopes over.
     Each trajectory's applications are hinted by its previous step.
     """
@@ -304,8 +302,7 @@ def iterate_deviation_check(op1: ShapleyOperator, op2: ShapleyOperator,
         f1, _, hints1 = op1.apply_with_gaps(f1, hints1)
         f2, _, hints2 = op2.apply_with_gaps(f2, hints2)
     deviation = float(np.abs(f1 - f2).max())
-    dist = operator_distance(op1, op2, sample_count, radius, seed,
-                             extra_samples=trajectory)
+    dist = operator_distance(op1, op2, extra_samples=trajectory)
     bound = n * dist + 2.0 * n * max(op1.tol, op2.tol)
     return DeviationCheck(passed=deviation <= bound, deviation=deviation,
                           bound=bound, distance=dist)

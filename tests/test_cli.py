@@ -9,6 +9,7 @@ import pytest
 
 import sgve
 from sgve import bench
+from sgve import values as values_module
 from sgve.cli import main
 from sgve.errors import GameSpecError
 from sgve.gamefile import (game_spec_from_document, load_game_document,
@@ -40,7 +41,7 @@ def test_document_round_trip(tmp_path):
     path.write_text(json.dumps(bench.exshap_game_file()))
     spec, _ = game_spec_from_document(load_game_document(str(path)))
     assert spec.states == 2
-    assert spec.x_vars == ("x",)
+    assert len(spec.x_box) == 1
 
 
 @pytest.mark.parametrize("mutate", [
@@ -141,6 +142,9 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--suite", "unknown"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", "pf", "--tol", "1e-6"])  # no such option
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -151,7 +155,6 @@ def test_usage_errors_exit_2(capsys):
     ["solve", "bench:exshap", "--lambda", "0.5", "--eps", "inf"],
     ["curve", "bench:exshap", "--lambda-grid", "0.5", "--tol", "nan"],
     ["curve", "bench:exshap", "--lambda-grid", "0.5", "--eps", "0"],
-    ["bench", "--suite", "pf", "--tol", "-inf"],
 ])
 def test_nonpositive_or_nonfinite_tolerances_exit_2(argv, capsys):
     # rejected by the parser, before any game is built
@@ -242,6 +245,14 @@ def test_growth_runtime_positivity_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(
         {"d": 1, "kind": "explicitExpr", "exprs": ["f1 - 10"]}))
     assert main(["growth", str(path), "--n", "4"]) == 3
+
+
+def test_solve_iteration_budget_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(values_module, "MAX_FIXED_POINT_ITERATIONS", 2)
+    assert main(["solve", "bench:exshap", "--lambda", "0.05", "--resolution", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
 
 
 def test_bench_suite_runs(capsys):

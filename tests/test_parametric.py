@@ -140,13 +140,6 @@ def test_convex_value_budget_and_dimension_limits():
         convex_value(wide, {}, resolution=3, tol=TOL)
 
 
-def test_convex_flag_required():
-    spec = ConvexGameSpec(payoff=expr.parse("x*y", ["x", "y"]),
-                          x_box=UNIT, y_box=UNIT, convex_in_y=False)
-    with pytest.raises(GameSpecError):
-        convex_value(spec, {}, resolution=5, tol=TOL)
-
-
 # ---------------------------------------------------------------------------
 # benchmark closed form
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import pytest
 
 from sgve import bench
 from sgve import game as game_module
-from sgve.errors import GameSpecError
+from sgve import values as values_module
+from sgve.errors import GameSpecError, IterationBudgetError
 from sgve.game import DiscretizedGame, discretize
 from sgve.shapley import ShapleyOperator
 from sgve.values import (DeviationCheck, PowerLawFit, discounted_value,
+                         discounted_value_detailed,
                          fit_power_law, iterate_deviation_check,
                          n_stage_series, operator_distance, rate_fit,
                          simulate, value_iteration, vanishing_discount)
@@ -117,6 +119,12 @@ def test_discounted_argument_errors(exshap_op_coarse):
     for eps in (0.0, float("nan")):
         with pytest.raises(ValueError):
             discounted_value(exshap_op_coarse, 0.5, eps=eps)
+
+
+def test_discounted_iteration_budget(exshap_op_coarse, monkeypatch):
+    monkeypatch.setattr(values_module, "MAX_FIXED_POINT_ITERATIONS", 2)
+    with pytest.raises(IterationBudgetError, match="within 2 iterations"):
+        discounted_value_detailed(exshap_op_coarse, 0.05, 1e-6)
 
 
 def test_fixed_point_residual_and_bound():
