@@ -76,8 +76,7 @@ def _cmd_solve(args) -> int:
         result = values.discounted_value_detailed(op, args.discount, args.eps)
         v = result.value
         # one extra application certifies the fixed point independently
-        psi, gaps, _ = op.apply_with_gaps(((1.0 - args.discount) / args.discount) * v
-                                          if args.discount < 1.0 else np.zeros(op.dim),
+        psi, gaps, _ = op.apply_with_gaps(((1.0 - args.discount) / args.discount) * v,
                                           result.hints)
         residual = float(np.abs(args.discount * psi - v).max())
         for k, vk in enumerate(v):
@@ -111,7 +110,7 @@ def _cmd_curve(args) -> int:
         rows = [["lambda", *header_v, "iterations", "residual"]]
         for lam in args.lambda_grid:
             res = values.discounted_value_detailed(op, lam, args.eps)
-            bound = res.last_step * (1.0 - lam) / lam if lam < 1.0 else 0.0
+            bound = res.last_step * (1.0 - lam) / lam
             rows.append([repr(lam), *[repr(float(x)) for x in res.value],
                          str(res.iterations), repr(bound)])
     else:

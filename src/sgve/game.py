@@ -86,7 +86,8 @@ class DiscretizedGame:
     """Finite tensors of a stochastic game on action grids.
 
     ``g[k]`` has shape (nx_k, ny_k); ``rho[k]`` has shape (nx_k, ny_k, d)
-    with rows summing to one exactly.  Immutable after construction.
+    with nonnegative rows normalized by :func:`_exact_row_sums`.  Immutable
+    after construction.
     """
     states: int
     grids_x: tuple[np.ndarray, ...]  # each (nx_k, p)
@@ -145,9 +146,16 @@ def _product_bindings(xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _exact_row_sums(r: np.ndarray) -> np.ndarray:
-    """Clip to nonnegative and scale each row (last axis) to sum to 1.0
-    exactly: the float residual of the division is pushed into the row's
-    largest entry, repeated in case the correction itself rounds."""
+    """Clip to nonnegative and scale each row (last axis, so a 1-D vector
+    is one row) to sum to one.
+
+    The float residual of the division is pushed into the row's largest
+    entry, up to four times in case the correction itself rounds.  Rows
+    come out nonnegative with float sums within 2.2e-16 (one machine
+    epsilon) of 1.0, and exactly 1.0 for rows of at most two entries.
+    Longer rows can stay one epsilon off: 2-10% of random gamma rows of
+    3 to 10 entries do.
+    """
     r = np.clip(r, 0.0, None)
     r /= r.sum(axis=-1, keepdims=True)
     for _ in range(4):
@@ -169,7 +177,7 @@ def discretize(spec: GameSpec, resolution: int) -> DiscretizedGame:
     offending grid node.  Transition rows whose
     pre-normalization sum deviates from one by more than ``ROW_SUM_TOLERANCE``
     (or with entries below ``-1e-12``) raise :class:`GameSpecError`; smaller
-    deviations are silently renormalized to sum exactly to one.
+    deviations are silently renormalized by :func:`_exact_row_sums`.
     """
     xs = uniform_grid(spec.x_box, resolution)
     ys = uniform_grid(spec.y_box, resolution)
@@ -205,14 +213,6 @@ def discretize(spec: GameSpec, resolution: int) -> DiscretizedGame:
     )
 
 
-def _exact_sum_one(v: np.ndarray) -> np.ndarray:
-    v = np.clip(v, 0.0, None)
-    s = v.sum()
-    v = v / s if s > 0 else np.full_like(v, 1.0 / len(v))
-    v[np.argmax(v)] += 1.0 - v.sum()
-    return v
-
-
 def _saddle_point(A: np.ndarray):
     row_min = A.min(axis=1)
     col_max = A.max(axis=0)
@@ -234,8 +234,18 @@ def _certify(A: np.ndarray, p: np.ndarray, q: np.ndarray) -> MatrixGameSolution:
                               max(0.5 * (upper - lower), 0.0))
 
 
-def _lp_solve(A: np.ndarray, **options):
-    """One LP pass: maximize v s.t. p^T A >= v 1, p in the simplex."""
+# presolve-off simplex first: on large dense game LPs interior point takes
+# several times as long (about 7x on a 201x201 McKinsey grid).  On scipy 1.17
+# simplex stops above a 1e-9 gap on many McKinsey payoff grids, support solve
+# included (z = 1 at 7 points: 2.4e-8), where interior point certifies
+_LP_CONFIGS = (
+    {"method": "highs", "options": {"presolve": False}},
+    {"method": "highs-ipm", "options": {"presolve": True}},
+)
+
+
+def _lp_solve(A: np.ndarray, config: dict) -> MatrixGameSolution | None:
+    """One LP run: maximize v s.t. p^T A >= v 1, p in the simplex."""
     m, n = A.shape
     c = np.zeros(m + 1)
     c[-1] = -1.0
@@ -243,17 +253,17 @@ def _lp_solve(A: np.ndarray, **options):
     A_eq = np.zeros((1, m + 1))
     A_eq[0, :m] = 1.0
     res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * m + [(None, None)], **options)
+                  bounds=[(0, None)] * m + [(None, None)], **config)
     if not res.success:
         return None
-    p = _exact_sum_one(res.x[:m])
-    q = _exact_sum_one(np.abs(np.asarray(res.ineqlin.marginals, dtype=float)))
+    p = _exact_row_sums(res.x[:m])
+    q = _exact_row_sums(np.abs(np.asarray(res.ineqlin.marginals, dtype=float)))
     return _certify(A, p, q)
 
 
 def _equalizing_mixes(B: np.ndarray) -> np.ndarray | None:
     """Row and column mixes equalizing the square kernel B, as the rows of
-    a (2, k) array, or None.
+    a (2, k) array normalized by :func:`_exact_row_sums`, or None.
 
     The row mix p solves ``[B^T -1; 1 0] (p, v) = (0, 1)`` and the column
     mix the same system with B; both are one stacked solve.  The two
@@ -274,7 +284,7 @@ def _equalizing_mixes(B: np.ndarray) -> np.ndarray | None:
         return None
     if mixes.min() < -1e-10:
         return None
-    return np.clip(mixes, 0.0, None)
+    return _exact_row_sums(mixes)
 
 
 def _supports(sol: MatrixGameSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -307,35 +317,24 @@ def _support_solve(A: np.ndarray, rows: np.ndarray,
     p[rows] = mixes[0]
     q = np.zeros(A.shape[1])
     q[cols] = mixes[1]
-    return _certify(A, _exact_sum_one(p), _exact_sum_one(q))
-
-
-def _polish(A: np.ndarray, sol: MatrixGameSolution) -> MatrixGameSolution:
-    """Re-solve the equalization system on the LP supports.
-
-    Degenerate games leave simplex basic solutions with certificate gaps
-    far above machine precision; solving the square support subsystem
-    directly usually repairs them.  The re-derived strategies are verified
-    against the full matrix, so a failed polish can only be discarded.
-    """
-    polished = _support_solve(A, *_supports(sol))
-    if polished is not None and polished.duality_gap < sol.duality_gap:
-        return polished
-    return sol
+    return _certify(A, p, q)
 
 
 def solve_matrix_game(A, tol: float = 1e-9,
                       hint: MatrixGameSolution | None = None) -> MatrixGameSolution:
     """Gap-certified mixed value of the zero-sum game with payoff matrix A.
 
-    Tried in order: an exact pure saddle; the equalizing strategies on the
-    supports of ``hint`` (a solution of a nearby game of the same shape,
-    say the previous iterate's), kept only if their certified gap is within
-    ``tol``; then linear programming, whose supports are polished the same
-    way.  Whatever the path, the returned strategies are re-checked
-    against A, so the certificate is independent of how they were found.
+    An exact pure saddle is returned at once.  Otherwise the sources are
+    visited in order: ``hint`` (a solution of a nearby game of the same
+    shape, say the previous iterate's), then each LP configuration of
+    ``_LP_CONFIGS``.  The hint adds the equalizing strategies on its
+    supports; an LP run adds its solution, then the equalizing strategies
+    on that solution's supports.  Every candidate is certified against A,
+    so the certificate is independent of how it was found.  The candidate
+    with the smallest gap is kept (ties go to the earlier one) and
+    returned after the first source that brings it within ``tol``.
     Raises :class:`MatrixGameError` if the hint's strategy lengths do not
-    match A, or if no attempt certifies a duality gap within ``tol``.
+    match A, or if no source certifies a duality gap within ``tol``.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -353,28 +352,19 @@ def solve_matrix_game(A, tol: float = 1e-9,
     sol = _saddle_point(A)
     if sol is not None:
         return sol
-    if hint is not None:
-        sol = _support_solve(A, *_supports(hint))
-        if sol is not None and sol.duality_gap <= tol:
-            return sol
-
     best = None
-    # presolve off is markedly faster on dense game LPs; keep slower
-    # configurations as fallbacks for numerically awkward matrices ("highs"
-    # already runs dual simplex, so no separate dual-simplex retry).  On
-    # scipy 1.17 both simplex runs stop above a 1e-9 gap, polish included,
-    # on many McKinsey payoff grids (z = 1 at 7 points: 2.4e-8), where
-    # highs-ipm certifies
-    for opts in ({"method": "highs", "options": {"presolve": False}},
-                 {"method": "highs", "options": {"presolve": True}},
-                 {"method": "highs-ipm", "options": {"presolve": True}}):
-        sol = _lp_solve(A, **opts)
-        if sol is None:
-            continue
-        sol = _polish(A, sol)
-        if best is None or sol.duality_gap < best.duality_gap:
-            best = sol
-        if best.duality_gap <= tol:
+    for source in ((hint,) if hint is not None else ()) + _LP_CONFIGS:
+        if isinstance(source, MatrixGameSolution):
+            found = [_support_solve(A, *_supports(source))]
+        else:
+            # degenerate games can leave a simplex basic solution with a gap
+            # far above machine precision; the support solve often repairs it
+            lp = _lp_solve(A, source)
+            found = [] if lp is None else [lp, _support_solve(A, *_supports(lp))]
+        for sol in found:
+            if sol is not None and (best is None or sol.duality_gap < best.duality_gap):
+                best = sol
+        if best is not None and best.duality_gap <= tol:
             return best
     if best is None:
         raise MatrixGameError("linear program failed on all attempts")

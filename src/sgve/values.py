@@ -75,33 +75,30 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
                               ) -> DiscountedResult:
     """Discounted value via the contraction f -> lam * Psi(((1-lam)/lam) f).
 
-    The map contracts with factor (1 - lam), so stopping once the step size
-    drops below ``eps * lam / (1 - lam)`` guarantees a true error of at most
-    ``eps`` plus matrix-game solver slack.  ``lam = 1`` returns the one-shot
-    value directly.  ``hints`` are per-state solutions that hint the first
-    application (see :meth:`ShapleyOperator.apply_with_gaps`); each later
-    one is hinted by its predecessor.  More than
-    ``MAX_FIXED_POINT_ITERATIONS`` steps raise :class:`IterationBudgetError`.
+    The map contracts with factor (1 - lam), so stopping once
+    ``step * (1 - lam) <= eps * lam`` guarantees a true error of at most
+    ``eps`` plus matrix-game solver slack.  At ``lam = 1`` the map is
+    constant, so it stops after one application: the one-shot value.
+    ``hints`` are per-state solutions that hint the first application (see
+    :meth:`ShapleyOperator.apply_with_gaps`); each later one is hinted by
+    its predecessor.  More than ``MAX_FIXED_POINT_ITERATIONS`` steps raise
+    :class:`IterationBudgetError`.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"discount factor must be in (0, 1], got {lam}")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if lam == 1.0:
-        v, _, hints = op.apply_with_gaps(np.zeros(op.dim), hints)
-        return DiscountedResult(v, lam, 1, 0.0, hints)
     f = np.zeros(op.dim) if start is None else np.asarray(start, dtype=float).copy()
-    threshold = eps * lam / (1.0 - lam)
     for it in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
         psi, _, hints = op.apply_with_gaps(((1.0 - lam) / lam) * f, hints)
         fn = lam * psi
         step = float(np.abs(fn - f).max())
         f = fn
-        if step <= threshold:
+        if step * (1.0 - lam) <= eps * lam:
             return DiscountedResult(f, lam, it, step, hints)
     raise IterationBudgetError(
-        f"discounted fixed point at lam={lam} did not reach step {threshold:.3e} "
-        f"within {MAX_FIXED_POINT_ITERATIONS} iterations")
+        f"discounted fixed point at lam={lam} did not reach step "
+        f"{eps * lam / (1.0 - lam):.3e} within {MAX_FIXED_POINT_ITERATIONS} iterations")
 
 
 def discounted_value(op: ShapleyOperator, lam: float, eps: float = 1e-9) -> np.ndarray:

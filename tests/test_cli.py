@@ -101,6 +101,19 @@ def test_solve_discounted_benchmark(capsys):
     assert any(l.startswith("max duality gap:") for l in lines)
 
 
+def test_lambda_one_is_one_application(capsys):
+    # at lambda = 1 the fixed point is one operator application to 0
+    assert main(["solve", "bench:exshap", "--lambda", "1", "--resolution", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["state 0: 0.0", "state 1: 0.5", "iterations: 1",
+                         "fixed-point residual: 0.0"]
+    assert main(["curve", "bench:exshap", "--lambda-grid", "1,0.5",
+                 "--resolution", "5"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == "1.0,0.0,0.5,1,0.0"
+    assert rows[2].split(",")[3] == "7"
+
+
 def test_solve_n_stage_constant_game(tmp_path, capsys):
     path = tmp_path / "const.json"
     path.write_text(json.dumps(CONSTANT_GAME))
