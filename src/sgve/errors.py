@@ -38,9 +38,11 @@ class GameSpecError(SgveError):
 
 
 class MatrixGameError(SgveError):
-    """Matrix-game solve failed to certify the requested duality gap.
+    """Invalid matrix-game input, or no candidate certified the requested
+    duality gap.
 
-    ``best_gap`` carries the smallest certified gap achieved before giving up.
+    ``best_gap`` carries the smallest certified gap reached before giving
+    up, and is None for invalid input.
     """
 
     def __init__(self, message: str, best_gap: float | None = None):

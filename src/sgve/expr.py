@@ -26,7 +26,7 @@ from .errors import EvalDomainError, ExprSyntaxError, UnknownVariableError
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Call", "BinOp",
-    "parse", "evaluate", "to_string", "variables",
+    "parse", "evaluate", "to_string",
 ]
 
 _RESERVED = ("exp", "log")
@@ -187,17 +187,6 @@ def parse(text: str, names: Iterable[str]) -> Expr:
     if bad:
         raise ValueError(f"variable names {sorted(bad)} are reserved")
     return _Parser(text, nameset).parse()
-
-
-def variables(e: Expr) -> frozenset[str]:
-    """Set of variable names appearing in the tree."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Num):
-        return frozenset()
-    if isinstance(e, (Neg, Call)):
-        return variables(e.arg)
-    return variables(e.left) | variables(e.right)
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float | np.ndarray]

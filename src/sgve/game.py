@@ -29,7 +29,7 @@ __all__ = [
 # formula rather than float noise
 ROW_SUM_TOLERANCE = 1e-6
 _NEGATIVE_CLAMP = 1e-12
-# strategy weights above this count as the support that _supports returns
+# strategy weights above this count as the support _support_solve equalizes
 _SUPPORT_THRESHOLD = 1e-9
 
 
@@ -213,34 +213,33 @@ def discretize(spec: GameSpec, resolution: int) -> DiscretizedGame:
     )
 
 
-def _saddle_point(A: np.ndarray):
-    row_min = A.min(axis=1)
-    col_max = A.max(axis=0)
-    maximin = row_min.max()
-    minimax = col_max.min()
-    if maximin == minimax:  # exact pure saddle, certificate gap 0
-        i = int(row_min.argmax())
-        j = int(col_max.argmin())
-        p = np.zeros(A.shape[0]); p[i] = 1.0
-        q = np.zeros(A.shape[1]); q[j] = 1.0
-        return MatrixGameSolution(float(maximin), p, q, 0.0)
-    return None
+def _bracketed(p: np.ndarray, q: np.ndarray, lower: float,
+               upper: float) -> MatrixGameSolution:
+    """(p, q) guaranteeing ``lower`` (p against every column) and ``upper``
+    (q against every row).  A closed bracket's value is its end: halving
+    the sum of the two ends could overflow."""
+    value = lower if lower == upper else 0.5 * (lower + upper)
+    return MatrixGameSolution(value, p, q, max(0.5 * (upper - lower), 0.0))
 
 
 def _certify(A: np.ndarray, p: np.ndarray, q: np.ndarray) -> MatrixGameSolution:
-    lower = float((p @ A).min())
-    upper = float((A @ q).max())
-    return MatrixGameSolution(0.5 * (lower + upper), p, q,
-                              max(0.5 * (upper - lower), 0.0))
+    return _bracketed(p, q, float((p @ A).min()), float((A @ q).max()))
 
 
 # presolve-off simplex first: on large dense game LPs interior point takes
 # several times as long (about 7x on a 201x201 McKinsey grid).  On scipy 1.17
 # simplex stops above a 1e-9 gap on many McKinsey payoff grids, support solve
-# included (z = 1 at 7 points: 2.4e-8), where interior point certifies
+# included (z = 1 at 7 points: 2.4e-8), where interior point certifies.  Last
+# comes simplex at the tightest feasibility tolerances HiGHS accepts: it
+# certifies the 201-point grids and a 28-point one on which both runs above
+# end in an unknown model status.  Tightening the first entry instead would
+# change the supports, and the LP count, of solves that certify today
 _LP_CONFIGS = (
     {"method": "highs", "options": {"presolve": False}},
     {"method": "highs-ipm", "options": {"presolve": True}},
+    {"method": "highs", "options": {"presolve": False,
+                                    "primal_feasibility_tolerance": 1e-10,
+                                    "dual_feasibility_tolerance": 1e-10}},
 )
 
 
@@ -287,29 +286,27 @@ def _equalizing_mixes(B: np.ndarray) -> np.ndarray | None:
     return _exact_row_sums(mixes)
 
 
-def _supports(sol: MatrixGameSolution) -> tuple[np.ndarray, np.ndarray]:
-    """Square support pair of a solution: the rows and columns whose weight
-    exceeds ``_SUPPORT_THRESHOLD``, the longer side cut to its k heaviest
-    (k the length of the shorter side), each in ascending order."""
+def _support_solve(A: np.ndarray,
+                   sol: MatrixGameSolution) -> MatrixGameSolution | None:
+    """Equalizing strategies on the square support pair of ``sol``,
+    certified against the full matrix; None if the support is empty or its
+    equalization system has no nonnegative solution.
+
+    The support pair is the rows and columns whose weight exceeds
+    ``_SUPPORT_THRESHOLD``, the longer side cut to its k heaviest (k the
+    length of the shorter side), each in ascending order.
+    """
     rows = np.flatnonzero(sol.row_strategy > _SUPPORT_THRESHOLD)
     cols = np.flatnonzero(sol.col_strategy > _SUPPORT_THRESHOLD)
     k = min(len(rows), len(cols))
+    if k == 0:
+        return None
     if len(rows) > k:
         rows = rows[np.argsort(sol.row_strategy[rows])[::-1][:k]]
         rows.sort()
     if len(cols) > k:
         cols = cols[np.argsort(sol.col_strategy[cols])[::-1][:k]]
         cols.sort()
-    return rows, cols
-
-
-def _support_solve(A: np.ndarray, rows: np.ndarray,
-                   cols: np.ndarray) -> MatrixGameSolution | None:
-    """Equalizing strategies on the square subgame ``A[rows, cols]``,
-    certified against the full matrix; None if the support is empty or its
-    equalization system has no nonnegative solution."""
-    if len(rows) == 0:
-        return None
     mixes = _equalizing_mixes(A[np.ix_(rows, cols)])
     if mixes is None:
         return None
@@ -324,17 +321,19 @@ def solve_matrix_game(A, tol: float = 1e-9,
                       hint: MatrixGameSolution | None = None) -> MatrixGameSolution:
     """Gap-certified mixed value of the zero-sum game with payoff matrix A.
 
-    An exact pure saddle is returned at once.  Otherwise the sources are
-    visited in order: ``hint`` (a solution of a nearby game of the same
-    shape, say the previous iterate's), then each LP configuration of
-    ``_LP_CONFIGS``.  The hint adds the equalizing strategies on its
-    supports; an LP run adds its solution, then the equalizing strategies
-    on that solution's supports.  Every candidate is certified against A,
-    so the certificate is independent of how it was found.  The candidate
-    with the smallest gap is kept (ties go to the earlier one) and
-    returned after the first source that brings it within ``tol``.
+    One stream of candidates, each certified against A, so the certificate
+    is independent of how a candidate was found.  The first is the pure
+    pair, the maximin row against the minimax column; an exact pure saddle
+    has gap 0.  Then the sources are visited in order: ``hint`` (a
+    solution of a nearby game of the same shape, say the previous
+    iterate's), then each LP configuration of ``_LP_CONFIGS``.  The hint
+    adds the equalizing strategies on its supports; an LP run adds its
+    solution, then the equalizing strategies on that solution's supports.
+    The candidate with the smallest gap is kept (ties go to the earlier
+    one) and returned as soon as its gap is within ``tol``.
     Raises :class:`MatrixGameError` if the hint's strategy lengths do not
-    match A, or if no source certifies a duality gap within ``tol``.
+    match A, or if no candidate certifies a duality gap within ``tol``;
+    the error's ``best_gap`` is then the smallest gap reached.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -349,27 +348,33 @@ def solve_matrix_game(A, tol: float = 1e-9,
             f"hint strategies of lengths {np.shape(hint.row_strategy)} and "
             f"{np.shape(hint.col_strategy)} do not fit a {A.shape} payoff matrix")
 
-    sol = _saddle_point(A)
-    if sol is not None:
-        return sol
-    best = None
-    for source in ((hint,) if hint is not None else ()) + _LP_CONFIGS:
+    # the pure pair, maximin row against minimax column, opens the stream:
+    # its bracket is the row minimum and column maximum it is built from
+    row_min = A.min(axis=1)
+    col_max = A.max(axis=0)
+    i, j = row_min.argmax(), col_max.argmin()
+    p = np.zeros(A.shape[0])
+    p[i] = 1.0
+    q = np.zeros(A.shape[1])
+    q[j] = 1.0
+    best = _bracketed(p, q, float(row_min[i]), float(col_max[j]))
+    sources = iter(((hint,) if hint is not None else ()) + _LP_CONFIGS)
+    while best.duality_gap > tol:
+        source = next(sources, None)
+        if source is None:
+            raise MatrixGameError("could not certify requested duality gap",
+                                  best_gap=best.duality_gap)
         if isinstance(source, MatrixGameSolution):
-            found = [_support_solve(A, *_supports(source))]
+            found = [_support_solve(A, source)]
         else:
             # degenerate games can leave a simplex basic solution with a gap
             # far above machine precision; the support solve often repairs it
             lp = _lp_solve(A, source)
-            found = [] if lp is None else [lp, _support_solve(A, *_supports(lp))]
+            found = [] if lp is None else [lp, _support_solve(A, lp)]
         for sol in found:
-            if sol is not None and (best is None or sol.duality_gap < best.duality_gap):
+            if sol is not None and sol.duality_gap < best.duality_gap:
                 best = sol
-        if best is not None and best.duality_gap <= tol:
-            return best
-    if best is None:
-        raise MatrixGameError("linear program failed on all attempts")
-    raise MatrixGameError("could not certify requested duality gap",
-                          best_gap=best.duality_gap)
+    return best
 
 
 def matrix_game_bruteforce(A, max_size: int = 6) -> float:
@@ -383,9 +388,9 @@ def matrix_game_bruteforce(A, max_size: int = 6) -> float:
     m, n = A.shape
     if m > max_size or n > max_size:
         raise MatrixGameError(f"bruteforce limited to {max_size}x{max_size}")
-    sol = _saddle_point(A)
-    if sol is not None:
-        return sol.value
+    maximin, minimax = A.min(axis=1).max(), A.max(axis=0).min()
+    if maximin == minimax:  # exact pure saddle
+        return float(maximin)
 
     feas = 1e-10
     cert = 1e-9

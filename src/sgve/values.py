@@ -272,10 +272,6 @@ class DeviationCheck:
     bound: float
     distance: float
 
-    @property
-    def slack(self) -> float:
-        return self.bound - self.deviation
-
 
 def iterate_deviation_check(op1: ShapleyOperator, op2: ShapleyOperator,
                             n: int) -> DeviationCheck:

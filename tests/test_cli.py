@@ -168,6 +168,10 @@ def test_usage_errors_exit_2(capsys):
     ["solve", "bench:exshap", "--lambda", "0.5", "--eps", "inf"],
     ["curve", "bench:exshap", "--lambda-grid", "0.5", "--tol", "nan"],
     ["curve", "bench:exshap", "--lambda-grid", "0.5", "--eps", "0"],
+    ["curve", "bench:exshap", "--lambda-grid", "0.5,x"],
+    ["curve", "bench:exshap", "--lambda-grid", ","],
+    ["curve", "bench:exshap", "--n-grid", "1,2.5"],
+    ["solve", "bench:exshap", "--lambda", "0.5", "--tol", "abc"],
 ])
 def test_nonpositive_or_nonfinite_tolerances_exit_2(argv, capsys):
     # rejected by the parser, before any game is built
@@ -274,6 +278,19 @@ def test_bench_suite_runs(capsys):
     assert code == 0
     assert out.count("[PASS]") == 2
     assert "all 2 criteria passed" in out
+
+
+def test_bench_failing_suite_exits_3(monkeypatch, capsys):
+    # instant stand-ins for the two pf criteria, the second one failing
+    monkeypatch.setitem(bench._CRITERIA, 8,
+                        lambda: bench.CriterionResult(8, "stand-in", True, "ok"))
+    monkeypatch.setitem(bench._CRITERIA, 9, lambda: bench.CriterionResult(
+        9, "stand-in", False, "off", ("detail line",)))
+    assert main(["bench", "--suite", "pf"]) == 3
+    out = capsys.readouterr().out
+    assert "[PASS]  8 stand-in: ok" in out
+    assert "[FAIL]  9 stand-in: off\n        detail line" in out
+    assert out.endswith("1 criteria FAILED\n")
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

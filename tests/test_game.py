@@ -257,17 +257,15 @@ def test_grid_evaluation_matches_scalar_eval():
                     assert game.g[k][i, j] == direct, (name, k, i, j)
 
 
-# the LP configurations solve_matrix_game tries, in order
-_LP_CONFIGS = [("highs", False), ("highs-ipm", True)]
-
-
 def _fail_lp_configs(monkeypatch, failing):
-    """Make the chosen configurations report failure; return the call log."""
+    """Make the ``_LP_CONFIGS`` entries of the chosen indices report
+    failure; return the log of the indices run."""
     calls = []
     real = game_module.linprog
 
     def linprog(*args, method, options, **kwargs):
-        calls.append((method, options["presolve"]))
+        calls.append(game_module._LP_CONFIGS.index(
+            {"method": method, "options": options}))
         if calls[-1] in failing:
             return SimpleNamespace(success=False)
         return real(*args, method=method, options=options, **kwargs)
@@ -276,12 +274,12 @@ def _fail_lp_configs(monkeypatch, failing):
     return calls
 
 
-@pytest.mark.parametrize("failing", [0, 1])
+@pytest.mark.parametrize("failing", [0, 1, 2])
 def test_lp_fallback_certifies(monkeypatch, failing):
-    calls = _fail_lp_configs(monkeypatch, _LP_CONFIGS[:failing])
+    calls = _fail_lp_configs(monkeypatch, range(failing))
     A = [[3, 1], [0, 2]]
     sol = solve_matrix_game(A, TOL)
-    assert calls == _LP_CONFIGS[:failing + 1]
+    assert calls == list(range(failing + 1))
     assert abs(sol.value - 1.5) <= 2 * TOL
     assert sol.duality_gap <= TOL
     assert certificate_holds(A, sol)
@@ -289,20 +287,41 @@ def test_lp_fallback_certifies(monkeypatch, failing):
 
 def test_real_lp_fallback_certifies(monkeypatch):
     # on scipy 1.17 presolve-off simplex stops at gap 2.4e-8 on this grid,
-    # support solve included; only the interior-point run certifies
+    # support solve included; the interior-point run certifies
     calls = _fail_lp_configs(monkeypatch, ())
     A = parametric.mckinsey_payoff_matrix(1.0, 7)
     sol = solve_matrix_game(A, TOL)
-    assert calls == _LP_CONFIGS
+    assert calls == [0, 1]
     assert sol.duality_gap <= TOL
     assert certificate_holds(A, sol)
 
 
+def test_last_resort_lp_certifies(monkeypatch):
+    # on scipy 1.17 only the tight-tolerance simplex certifies these: the
+    # 201-point grids stop at gaps 2.9e-9 to 3.0e-8 before it, and on the
+    # 28-point grid both earlier configurations report an unknown status
+    calls = _fail_lp_configs(monkeypatch, ())
+    for z in (0.25, 0.5, 1.0):
+        A = parametric.mckinsey_payoff_matrix(z, 201)
+        sol = solve_matrix_game(A, TOL)
+        assert calls[-1] == 2
+        assert sol.duality_gap <= TOL
+        assert certificate_holds(A, sol)
+    calls.clear()
+    z = np.linspace(0.05, 1, 20)[7]
+    value = parametric.mckinsey_grid_value(z, 28)
+    assert calls == [0, 1, 2]
+    assert abs(value - parametric.mckinsey_value(z)) <= 1e-2
+
+
 def test_lp_failed_on_all_attempts(monkeypatch):
-    calls = _fail_lp_configs(monkeypatch, _LP_CONFIGS)
-    with pytest.raises(MatrixGameError, match="linear program failed on all attempts"):
+    calls = _fail_lp_configs(monkeypatch, range(len(game_module._LP_CONFIGS)))
+    with pytest.raises(MatrixGameError,
+                       match="could not certify requested duality gap") as err:
         solve_matrix_game([[3, 1], [0, 2]], TOL)
-    assert calls == _LP_CONFIGS
+    # the pure pair (row 0, column 1) brackets the value by [1, 2]
+    assert err.value.best_gap == 0.5
+    assert calls == [0, 1, 2]
 
 
 def test_lp_best_gap_when_no_configuration_certifies(monkeypatch):
@@ -348,7 +367,7 @@ def test_stale_hint_falls_back_to_lp(monkeypatch):
                                np.array([1.0, 0.0, 0.0]), 0.0)
     calls = _fail_lp_configs(monkeypatch, ())
     sol = solve_matrix_game(_MIXED, TOL, hint=stale)
-    assert calls == _LP_CONFIGS[:1]
+    assert calls == [0]
     assert sol.duality_gap <= TOL
     assert certificate_holds(_MIXED, sol)
     assert abs(sol.value - matrix_game_bruteforce(_MIXED)) <= 2 * TOL
@@ -370,7 +389,7 @@ def test_hinted_solves_match_bruteforce(monkeypatch):
                 continue
             before = len(calls)
             sol = solve_matrix_game(A, TOL, hint=hint)
-            if game_module._saddle_point(A) is None:
+            if A.min(axis=1).max() != A.max(axis=0).min():  # no pure saddle
                 hinted.append(len(calls) == before)
             assert abs(sol.value - exact) <= 2 * TOL
             assert sol.duality_gap <= TOL
@@ -396,3 +415,40 @@ def test_pure_saddle_ignores_mixed_hint(monkeypatch):
     assert sol.duality_gap == 0.0
     assert sol.row_strategy.tolist() == [1.0, 0.0]
     assert sol.col_strategy.tolist() == [1.0, 0.0]
+
+
+def test_pure_pair_candidate_is_its_own_certificate(monkeypatch):
+    # at an unbounded tol the pure pair, the first candidate, is returned;
+    # its hand-built bracket must be what _certify computes for it
+    _forbid_lp(monkeypatch)
+    rng = np.random.default_rng(31)
+    for t in range(300):
+        shape = rng.integers(1, 9, 2)
+        A = (rng.uniform(-1, 1, shape) if t % 2
+             else rng.integers(-3, 4, shape).astype(float))
+        sol = solve_matrix_game(A, np.inf)
+        i, j = A.min(axis=1).argmax(), A.max(axis=0).argmin()
+        assert np.array_equal(sol.row_strategy, np.eye(A.shape[0])[i])
+        assert np.array_equal(sol.col_strategy, np.eye(A.shape[1])[j])
+        ref = game_module._certify(A, sol.row_strategy, sol.col_strategy)
+        assert (np.array([sol.value, sol.duality_gap]).tobytes()
+                == np.array([ref.value, ref.duality_gap]).tobytes())
+
+
+def test_near_saddle_returns_pure_pair(monkeypatch):
+    # maximin 1 (row 0) and minimax 1 + 2e-10 (column 0): no exact saddle,
+    # but the pure pair's gap of 1e-10 is within tol, so no LP runs
+    A = np.array([[1.0, 2.0], [1.0 + 2e-10, 0.0]])
+    _forbid_lp(monkeypatch)
+    sol = solve_matrix_game(A, TOL)
+    assert sol.row_strategy.tolist() == [1.0, 0.0]
+    assert sol.col_strategy.tolist() == [1.0, 0.0]
+    assert sol.duality_gap == 0.5 * (A[1, 0] - 1.0)
+    assert certificate_holds(A, sol)
+
+
+def test_pure_saddle_keeps_a_huge_value():
+    # the value of a closed bracket is its end, not half the sum of both ends
+    sol = solve_matrix_game([[1e308]], TOL)
+    assert sol.value == 1e308
+    assert sol.duality_gap == 0.0

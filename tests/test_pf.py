@@ -209,6 +209,17 @@ def test_cone_properties_identity_clean():
     assert report.subhomogeneity == 0.0
 
 
+def test_cone_properties_reverse_ordered_pair():
+    # g <= f: the order check compares T(g) against T(f)
+    T = explicit_map(["f1 + 1", "f2"])
+    report = check_cone_properties(T, [((2.0, 3.0), (1.0, 3.0), 1.0)])
+    assert report.ordered_pairs == report.pairs == 1
+    assert report.order == 0.0
+    anti = explicit_map(["1/f1", "f2"])  # order-reversing in f1
+    report = check_cone_properties(anti, [((2.0, 3.0), (1.0, 3.0), 1.0)])
+    assert report.order == 0.5
+
+
 def test_cone_properties_detect_superhomogeneous_map():
     T = explicit_map(["f1^2", "f2"])
     report = check_cone_properties(T, [((1.0, 1.0), (1.5, 1.5), 2.0)])
