@@ -35,14 +35,18 @@ EXIT_NUMERICAL = 3
 _NUMERICAL_ERRORS = (MatrixGameError, IterationBudgetError, PositivityError)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        items = [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    return items
+def _list_of(kind: type):
+    """argparse type: a nonempty comma-separated list of ``kind``."""
+    def parse(text: str) -> list:
+        try:
+            items = [kind(t) for t in text.split(",") if t.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}")
+        if not items:
+            raise argparse.ArgumentTypeError("empty list")
+        return items
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -53,16 +57,6 @@ def _positive_float(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive: {text!r}")
     return value
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        items = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not items:
-        raise argparse.ArgumentTypeError("empty list")
-    return items
 
 
 def _build_operator(path: str, resolution: int, tol: float) -> ShapleyOperator:
@@ -76,20 +70,16 @@ def _cmd_solve(args) -> int:
         result = values.discounted_value_detailed(op, args.discount, args.eps)
         v = result.value
         # one extra application certifies the fixed point independently
-        psi, gaps, _ = op.apply_with_gaps(((1.0 - args.discount) / args.discount) * v,
-                                          result.hints)
-        residual = float(np.abs(args.discount * psi - v).max())
-        for k, vk in enumerate(v):
-            print(f"state {k}: {float(vk)!r}")
-        print(f"iterations: {result.iterations}")
-        print(f"fixed-point residual: {residual!r}")
-        print(f"max duality gap: {float(gaps.max())!r}")
+        fv, gaps, _ = values.discounted_apply(op, args.discount, v, result.hints)
+        tail = [f"iterations: {result.iterations}",
+                f"fixed-point residual: {float(np.abs(fv - v).max())!r}",
+                f"max duality gap: {float(gaps.max())!r}"]
     else:
         v = values.value_iteration(op, args.stages)
-        for k, vk in enumerate(v):
-            print(f"state {k}: {float(vk)!r}")
-        print(f"iterations: {args.stages}")
-        print(f"duality-gap tolerance: {args.tol!r}")
+        tail = [f"iterations: {args.stages}", f"duality-gap tolerance: {args.tol!r}"]
+    for k, vk in enumerate(v):
+        print(f"state {k}: {float(vk)!r}")
+    print(*tail, sep="\n")
     return EXIT_OK
 
 
@@ -110,9 +100,8 @@ def _cmd_curve(args) -> int:
         rows = [["lambda", *header_v, "iterations", "residual"]]
         for lam in args.lambda_grid:
             res = values.discounted_value_detailed(op, lam, args.eps)
-            bound = res.last_step * (1.0 - lam) / lam
             rows.append([repr(lam), *[repr(float(x)) for x in res.value],
-                         str(res.iterations), repr(bound)])
+                         str(res.iterations), repr(res.error_bound)])
     else:
         rows = [["n", *header_v, "iterations"]]
         for n, vn in values.n_stage_series(op, args.n_grid):
@@ -158,30 +147,31 @@ def build_parser() -> argparse.ArgumentParser:
                     "positive-cone growth rates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="discounted or n-stage values of a game")
-    solve.add_argument("file", help="game JSON path or bench:<name>")
-    solve.add_argument("--resolution", type=int, default=201,
-                       help="grid points per action dimension (default 201)")
+    # the game, its grid and the accuracies shared by solve and curve
+    game = argparse.ArgumentParser(add_help=False)
+    game.add_argument("file", help="game JSON path or bench:<name>")
+    game.add_argument("--resolution", type=int, default=201,
+                      help="grid points per action dimension (default 201)")
+    game.add_argument("--tol", type=_positive_float, default=1e-6,
+                      help="duality-gap tolerance per matrix game (default 1e-6)")
+    game.add_argument("--eps", type=_positive_float, default=1e-6,
+                      help="fixed-point accuracy for discounted values (default 1e-6)")
+
+    solve = sub.add_parser("solve", parents=[game],
+                           help="discounted or n-stage values of a game")
     group = solve.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="discount", type=float,
                        help="discount factor in (0, 1]")
     group.add_argument("--n", dest="stages", type=int, help="horizon length")
-    solve.add_argument("--tol", type=_positive_float, default=1e-6,
-                       help="duality-gap tolerance per matrix game (default 1e-6)")
-    solve.add_argument("--eps", type=_positive_float, default=1e-6,
-                       help="fixed-point accuracy for discounted values (default 1e-6)")
     solve.set_defaults(run=_cmd_solve)
 
-    curve = sub.add_parser("curve", help="value curves over a parameter grid as CSV")
-    curve.add_argument("file")
-    curve.add_argument("--resolution", type=int, default=201)
+    curve = sub.add_parser("curve", parents=[game],
+                           help="value curves over a parameter grid as CSV")
     group = curve.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lambda-grid", dest="lambda_grid", type=_float_list,
+    group.add_argument("--lambda-grid", dest="lambda_grid", type=_list_of(float),
                        help="comma-separated discount factors")
-    group.add_argument("--n-grid", dest="n_grid", type=_int_list,
+    group.add_argument("--n-grid", dest="n_grid", type=_list_of(int),
                        help="comma-separated horizons")
-    curve.add_argument("--tol", type=_positive_float, default=1e-6)
-    curve.add_argument("--eps", type=_positive_float, default=1e-6)
     curve.add_argument("--out", default=None, help="CSV output path (default stdout)")
     curve.set_defaults(run=_cmd_curve)
 
@@ -193,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     growth.add_argument("mapfile", help="monotone-map JSON path")
     growth.add_argument("--n", type=int, default=10_000,
                         help="iteration horizon (default 10000)")
-    growth.add_argument("--e", dest="start", type=_float_list, default=None,
+    growth.add_argument("--e", dest="start", type=_list_of(float), default=None,
                         help="starting vector (default all ones)")
     growth.set_defaults(run=_cmd_growth)
     return parser

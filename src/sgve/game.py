@@ -217,9 +217,10 @@ def _bracketed(p: np.ndarray, q: np.ndarray, lower: float,
                upper: float) -> MatrixGameSolution:
     """(p, q) guaranteeing ``lower`` (p against every column) and ``upper``
     (q against every row).  A closed bracket's value is its end: halving
-    the sum of the two ends could overflow."""
+    the sum of the two ends could overflow, and so could their difference,
+    so the gap halves each end first."""
     value = lower if lower == upper else 0.5 * (lower + upper)
-    return MatrixGameSolution(value, p, q, max(0.5 * (upper - lower), 0.0))
+    return MatrixGameSolution(value, p, q, max(0.5 * upper - 0.5 * lower, 0.0))
 
 
 def _certify(A: np.ndarray, p: np.ndarray, q: np.ndarray) -> MatrixGameSolution:

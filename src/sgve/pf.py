@@ -4,10 +4,12 @@ growth rates.
 A map built from per-coordinate finite families of nonnegative weight
 vectors (min or max of linear forms) conjugates under entrywise log/exp
 into an operator that is monotone and commutes with additive constants,
-i.e. a dynamic programming operator.  Growth rates are computed entirely
-through that conjugate in log space, so iterates never overflow, and the
-min-linear conjugate admits the stable log-sum-exp representation used in
-risk-sensitive control.
+i.e. a dynamic programming operator.  Growth rates of min/max-linear maps
+are computed entirely through that conjugate in log space, so iterates
+never overflow, and the min-linear conjugate admits the stable log-sum-exp
+representation used in risk-sensitive control.  Explicit maps still take
+the literal :func:`log_glasses_apply` route, which overflows: ``2*f1,
+3*f2`` raises :class:`PositivityError` at n = 10000.
 """
 from __future__ import annotations
 
@@ -110,7 +112,8 @@ def log_glasses_apply(T: MonotoneMap, h) -> np.ndarray:
     fails loudly if the map leaves the open cone or the exponentials
     overflow.  An explicit map whose evaluation leaves the real domain on
     this positive argument (an overflowing product, say) has left the cone
-    too.  Growth-rate computations use the stable log-space route instead.
+    too.  Growth rates of min/max-linear maps use the stable log-space
+    route instead; explicit maps have no other route.
     """
     h = np.asarray(h, dtype=float)
     with np.errstate(over="raise"):

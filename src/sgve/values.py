@@ -5,7 +5,8 @@ stationary strategies."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -15,7 +16,8 @@ from .shapley import ShapleyOperator
 
 __all__ = [
     "value_iteration", "n_stage_series",
-    "discounted_value", "DiscountedResult", "discounted_value_detailed",
+    "discounted_value", "DiscountedResult", "discounted_apply",
+    "discounted_value_detailed",
     "PowerLawFit", "default_lambda_grid", "vanishing_discount",
     "RateFit", "rate_fit",
     "operator_distance", "DeviationCheck", "iterate_deviation_check",
@@ -27,58 +29,62 @@ INCREMENT_FLOOR = 1e-12
 MAX_FIXED_POINT_ITERATIONS = 10 ** 6
 
 
-def value_iteration(op: ShapleyOperator, n: int) -> np.ndarray:
-    """Value of the n-stage averaged game: n operator applications to 0,
-    divided by n.  Each application is hinted by the previous one's
-    solutions."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _orbit(op: ShapleyOperator) -> Iterator[np.ndarray]:
+    """The iterates f_0 = 0, f_t = Psi(f_{t-1}), computed on demand, each
+    application hinted by the previous one's solutions."""
     f = np.zeros(op.dim)
     hints = None
-    for _ in range(n):
+    while True:
+        yield f
         f, _, hints = op.apply_with_gaps(f, hints)
-    return f / n
+
+
+def value_iteration(op: ShapleyOperator, n: int) -> np.ndarray:
+    """Value of the n-stage averaged game: n hinted operator applications
+    to 0, divided by n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return next(islice(_orbit(op), n, None)) / n
 
 
 def n_stage_series(op: ShapleyOperator, ns: Sequence[int]) -> list[tuple[int, np.ndarray]]:
     """n-stage values at several horizons in a single iteration pass, with
     the same hinted applications as :func:`value_iteration`."""
-    wanted = sorted(set(int(n) for n in ns))
-    if not wanted or wanted[0] < 1:
+    wanted = set(int(n) for n in ns)
+    if not wanted or min(wanted) < 1:
         raise ValueError("horizons must be positive")
-    out = []
-    f = np.zeros(op.dim)
-    hints = None
-    k = 0
-    for n in range(1, wanted[-1] + 1):
-        f, _, hints = op.apply_with_gaps(f, hints)
-        if n == wanted[k]:
-            out.append((n, f / n))
-            k += 1
-    return out
+    return [(n, f / n) for n, f in enumerate(islice(_orbit(op), max(wanted) + 1))
+            if n in wanted]
 
 
 @dataclass(frozen=True)
 class DiscountedResult:
     value: np.ndarray
-    discount: float
     iterations: int
-    last_step: float  # sup-norm change of the final iteration
+    error_bound: float  # on the distance to the fixed point, solver slack aside
     # per-state solutions of the final operator application: the hints of
     # a further application near the fixed point
     hints: tuple[MatrixGameSolution, ...]
+
+
+def discounted_apply(op: ShapleyOperator, lam: float, f: np.ndarray,
+                     hints: Sequence[MatrixGameSolution] | None):
+    """The discounted map f -> lam * Psi(((1-lam)/lam) f), with the gaps and
+    solutions that :meth:`ShapleyOperator.apply_with_gaps` returns."""
+    psi, gaps, hints = op.apply_with_gaps(((1.0 - lam) / lam) * f, hints)
+    return lam * psi, gaps, hints
 
 
 def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
                               start: np.ndarray | None = None,
                               hints: Sequence[MatrixGameSolution] | None = None,
                               ) -> DiscountedResult:
-    """Discounted value via the contraction f -> lam * Psi(((1-lam)/lam) f).
+    """Discounted value, the fixed point of :func:`discounted_apply`.
 
-    The map contracts with factor (1 - lam), so stopping once
-    ``step * (1 - lam) <= eps * lam`` guarantees a true error of at most
-    ``eps`` plus matrix-game solver slack.  At ``lam = 1`` the map is
-    constant, so it stops after one application: the one-shot value.
+    The map contracts with factor (1 - lam), so the last step bounds the
+    error by ``step * (1 - lam) / lam``; iteration stops once that bound
+    is at most ``eps``, plus matrix-game solver slack.  At ``lam = 1`` the
+    map is constant, so it stops after one application: the one-shot value.
     ``hints`` are per-state solutions that hint the first application (see
     :meth:`ShapleyOperator.apply_with_gaps`); each later one is hinted by
     its predecessor.  More than ``MAX_FIXED_POINT_ITERATIONS`` steps raise
@@ -90,12 +96,11 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
         raise ValueError("eps must be positive")
     f = np.zeros(op.dim) if start is None else np.asarray(start, dtype=float).copy()
     for it in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
-        psi, _, hints = op.apply_with_gaps(((1.0 - lam) / lam) * f, hints)
-        fn = lam * psi
+        fn, _, hints = discounted_apply(op, lam, f, hints)
         step = float(np.abs(fn - f).max())
         f = fn
         if step * (1.0 - lam) <= eps * lam:
-            return DiscountedResult(f, lam, it, step, hints)
+            return DiscountedResult(f, it, step * (1.0 - lam) / lam, hints)
     raise IterationBudgetError(
         f"discounted fixed point at lam={lam} did not reach step "
         f"{eps * lam / (1.0 - lam):.3e} within {MAX_FIXED_POINT_ITERATIONS} iterations")
@@ -187,23 +192,26 @@ def vanishing_discount(op: ShapleyOperator,
     """Sweep the discounted values down a decreasing lambda grid and
     extrapolate their common limit with n-stage values.
 
-    Each fixed point warm-starts from the previous one scaled geometrically,
-    which keeps the contraction iterations short at small lambda, and its
-    first application is hinted by the previous fixed point's solutions.
+    Each fixed point starts from the previous one, moved along the secant
+    through the last two when there are two, and its first application is
+    hinted by the previous one's solutions.  lambda -> v_lambda is smooth
+    for small lambda > 0 (Puiseux series, O(lambda^theta) rates), so the
+    secant start lies close to the next fixed point whatever the limit.
     """
     lams = default_lambda_grid() if lam_grid is None else np.asarray(lam_grid, float)
     if len(lams) < 4:
         raise ValueError("lambda grid needs at least 4 points")
     if not (np.all(lams > 0) and np.all(np.diff(lams) < 0)):
         raise ValueError("lambda grid must be positive and decreasing")
-    values = []
-    guess = hints = None
+    values, hints = [], None
     for j, lam in enumerate(lams):
-        if guess is not None:
-            guess = guess * (lam / lams[j - 1])
-        r = discounted_value_detailed(op, float(lam), eps, start=guess, hints=hints)
+        start = values[-1] if j else None
+        if j >= 2:
+            start = start + (values[-1] - values[-2]) * (
+                (lam - lams[j - 1]) / (lams[j - 1] - lams[j - 2]))
+        r = discounted_value_detailed(op, float(lam), eps, start=start, hints=hints)
         values.append(r.value)
-        guess, hints = r.value, r.hints
+        hints = r.hints
     return fit_power_law(lams, np.array(values))
 
 
@@ -285,17 +293,12 @@ def iterate_deviation_check(op1: ShapleyOperator, op2: ShapleyOperator,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    f1 = np.zeros(op1.dim)
-    f2 = np.zeros(op2.dim)
-    hints1 = hints2 = None
-    trajectory = []
-    for _ in range(n):
-        trajectory.append(f1)
-        trajectory.append(f2)
-        f1, _, hints1 = op1.apply_with_gaps(f1, hints1)
-        f2, _, hints2 = op2.apply_with_gaps(f2, hints2)
+    # f1_0, f2_0, f1_1, f2_1, ..., f1_n, f2_n: the two orbits interleaved
+    trajectory = [f for pair in islice(zip(_orbit(op1), _orbit(op2)), n + 1)
+                  for f in pair]
+    f1, f2 = trajectory[-2:]
     deviation = float(np.abs(f1 - f2).max())
-    dist = operator_distance(op1, op2, extra_samples=trajectory)
+    dist = operator_distance(op1, op2, extra_samples=trajectory[:-2])
     bound = n * dist + 2.0 * n * max(op1.tol, op2.tol)
     return DeviationCheck(passed=deviation <= bound, deviation=deviation,
                           bound=bound, distance=dist)

@@ -140,10 +140,18 @@ def test_solve_missing_file(capsys):
     {"payoff": ["0", "exp(-1/x)"]},  # nonfinite intermediate at x = 0
     {"states": True},
     {"actions": {"x": [[False, True]], "y": [[0, 1]]}},
+    {"actions": {"x": 5, "y": [[0, 1]]}},  # actions.x is not a list
 ])
 def test_solve_invalid_game_exits_2(tmp_path, capsys, change):
     path = tmp_path / "game.json"
     path.write_text(json.dumps({**bench.exshap_game_file(), **change}))
+    assert main(["solve", str(path), "--lambda", "0.5", "--resolution", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_solve_non_object_document_exits_2(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps([bench.exshap_game_file()]))
     assert main(["solve", str(path), "--lambda", "0.5", "--resolution", "5"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -172,6 +180,7 @@ def test_usage_errors_exit_2(capsys):
     ["curve", "bench:exshap", "--lambda-grid", ","],
     ["curve", "bench:exshap", "--n-grid", "1,2.5"],
     ["solve", "bench:exshap", "--lambda", "0.5", "--tol", "abc"],
+    ["curve", "bench:exshap", "--n-grid", ","],
 ])
 def test_nonpositive_or_nonfinite_tolerances_exit_2(argv, capsys):
     # rejected by the parser, before any game is built
@@ -244,6 +253,23 @@ def test_growth_invalid_map_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(
         {"d": 1, "kind": "minLinear", "weights": [[[0.0]]]}))
     assert main(["growth", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",  # not an object
+    json.dumps({"d": 2, "kind": "minLinear", "weights": [[[2.0, 0.0]]]}),
+    "{not json",
+])
+def test_growth_malformed_map_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    assert main(["growth", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_growth_missing_map_exits_2(tmp_path, capsys):
+    assert main(["growth", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("start", ["inf,1", "nan,1", "0,1", "1,-1"])

@@ -33,6 +33,17 @@ def test_syntax_error_offset():
     assert err.value.offset == 4
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("exp x", 4),   # a function name without its parenthesis
+    ("log(x", 5),   # an unclosed parenthesis
+    ("x)", 1),      # trailing input
+])
+def test_syntax_error_offset_of_unbalanced_input(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        expr.parse(text, ["x"])
+    assert err.value.offset == offset
+
+
 def test_unknown_variable_named():
     with pytest.raises(UnknownVariableError) as err:
         expr.parse("x + q", ["x"])

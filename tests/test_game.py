@@ -452,3 +452,11 @@ def test_pure_saddle_keeps_a_huge_value():
     sol = solve_matrix_game([[1e308]], TOL)
     assert sol.value == 1e308
     assert sol.duality_gap == 0.0
+
+
+def test_unbounded_bracket_reports_a_finite_gap():
+    # the pure pair brackets [-1e308, 1e308]: its half-width is finite
+    # even though the width overflows
+    with pytest.raises(MatrixGameError) as err:
+        solve_matrix_game([[1e308, -1e308], [-1e308, 1e308]], TOL)
+    assert np.isfinite(err.value.best_gap)

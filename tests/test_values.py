@@ -198,6 +198,34 @@ def test_vanishing_discount_grid_validation(exshap_op_coarse):
         vanishing_discount(exshap_op_coarse, lam_grid=[0.5, 0.25, 0.1, 0.2])
 
 
+def test_vanishing_discount_secant_start_on_a_constant_game(monkeypatch):
+    # v_lam = -1.25 for every lam, a nonzero limit: after the first fixed
+    # point, each start is within eps of the next one, so one application
+    # meets the stopping rule
+    op = constant_operator(3, -1.25)
+    iterations = []
+    real = values_module.discounted_value_detailed
+
+    def counted(*args, **kwargs):
+        r = real(*args, **kwargs)
+        iterations.append(r.iterations)
+        return r
+
+    monkeypatch.setattr(values_module, "discounted_value_detailed", counted)
+    fit = vanishing_discount(op)
+    assert len(iterations) == 12
+    assert iterations[1:] == [1] * 11
+    assert np.allclose(fit.limit, -1.25, atol=1e-6)
+
+
+def test_discounted_error_bound_holds():
+    op = constant_operator(2, 0.75)
+    for lam in (0.05, 0.4, 1.0):
+        r = discounted_value_detailed(op, lam, 1e-6)
+        assert r.error_bound <= 1e-6
+        assert np.abs(r.value - 0.75).max() <= r.error_bound + 2 * TOL
+
+
 def test_rate_fit_synthetic():
     ns = [8, 16, 32, 64, 128, 256]
     inv_sqrt = [(n, np.array([1.0 / math.sqrt(n)])) for n in ns]
