@@ -20,6 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from . import parametric, pf, values
+from .errors import GameSpecError
 from .game import DiscretizedGame, GameSpec, _exact_row_sums, discretize, \
     matrix_game_bruteforce, solve_matrix_game
 from .shapley import ShapleyOperator, check_properties
@@ -70,7 +71,7 @@ def builtin_game_file(name: str) -> dict:
         return exshap_game_file()
     if name == "mckinsey":
         return mckinsey_game_file()
-    raise KeyError(f"unknown builtin benchmark {name!r}")
+    raise GameSpecError(f"unknown builtin benchmark {name!r}")
 
 
 def exshap_spec() -> GameSpec:

@@ -25,7 +25,7 @@ from .errors import (GameSpecError, IterationBudgetError, MatrixGameError,
                      PositivityError, SgveError)
 from .game import discretize
 from .gamefile import game_spec_from_document, load_game_document, load_monotone_map
-from .pf import growth_rate
+from .pf import growth_rates
 from .shapley import ShapleyOperator
 
 EXIT_OK = 0
@@ -131,11 +131,11 @@ def _cmd_growth(args) -> int:
     e = np.ones(T.d) if args.start is None else np.asarray(args.start, dtype=float)
     if e.shape != (T.d,) or not (np.isfinite(e).all() and (e > 0).all()):
         raise GameSpecError(f"--e must list {T.d} finite, positive starting values")
-    chi = growth_rate(T, e, args.n)
+    ns = [args.n, args.n // 2] if args.n >= 2 else [args.n]
+    chi, *half = growth_rates(T, e, ns)
     print("growth rate:", " ".join(repr(float(x)) for x in chi))
-    if args.n >= 2:
-        chi_half = growth_rate(T, e, args.n // 2)
-        diag = float(np.abs(chi - chi_half).max())
+    if half:
+        diag = float(np.abs(chi - half[0]).max())
         print(f"cauchy difference vs n/2: {diag!r}")
     return EXIT_OK
 

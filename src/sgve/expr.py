@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 _RESERVED = ("exp", "log")
+# Deepest tree that parse accepts.  evaluate and to_string recurse once per
+# level, and the CLI reaches them about twenty frames below Python's default
+# limit of 1000; a 500-term sum is 500 levels deep.
+MAX_DEPTH = 600
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.names = names
         self.i = 0
+        self.nesting = 0  # active unary() calls
 
     def peek(self):
         return self.tokens[self.i]
@@ -116,6 +121,8 @@ class _Parser:
         kind, val, off = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {val!r}", off)
+        if _height(e) > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
         return e
 
     def expr(self) -> Expr:
@@ -139,11 +146,19 @@ class _Parser:
                 return node
 
     def unary(self) -> Expr:
-        kind, val, _ = self.peek()
+        kind, val, off = self.peek()
+        # every nested construct (parenthesis, call, minus, exponent)
+        # re-enters here, at most five parser frames deeper
+        self.nesting += 1
+        if 5 * self.nesting > MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", off)
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -157,6 +172,8 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, off = self.advance()
         if kind == "num":
+            if not math.isfinite(float(val)):
+                raise ExprSyntaxError(f"number {val} overflows a double", off)
             return Num(float(val))
         if kind == "ident":
             if val in _RESERVED:
@@ -181,12 +198,26 @@ def parse(text: str, names: Iterable[str]) -> Expr:
 
     Raises :class:`ExprSyntaxError` with the byte offset of the first bad
     token, or :class:`UnknownVariableError` for undeclared identifiers.
+    Trees deeper than ``MAX_DEPTH`` levels are syntax errors (at offset 0),
+    and so is nesting that would need more parser frames than that.
     """
     nameset = frozenset(names)
     bad = nameset.intersection(_RESERVED)
     if bad:
         raise ValueError(f"variable names {sorted(bad)} are reserved")
     return _Parser(text, nameset).parse()
+
+
+def _height(e: Expr) -> int:
+    """Levels of the tree, counted without recursion: a left-deep sum is as
+    deep as it is long."""
+    height, level = 0, [e]
+    while level:
+        height += 1
+        level = [child for node in level for child in (
+            (node.left, node.right) if isinstance(node, BinOp)
+            else (node.arg,) if isinstance(node, (Neg, Call)) else ())]
+    return height
 
 
 def evaluate(e: Expr, bindings: Mapping[str, float | np.ndarray]

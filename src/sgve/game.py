@@ -244,12 +244,24 @@ _LP_CONFIGS = (
 )
 
 
+# HiGHS's default large_matrix_value: it refuses matrices with entries this large
+_HIGHS_LARGE_MATRIX_VALUE = 1e15
+
+
 def _lp_solve(A: np.ndarray, config: dict) -> MatrixGameSolution | None:
-    """One LP run: maximize v s.t. p^T A >= v 1, p in the simplex."""
+    """One LP run: maximize v s.t. p^T A >= v 1, p in the simplex.
+
+    A matrix with an entry of ``_HIGHS_LARGE_MATRIX_VALUE`` or more goes to
+    HiGHS times the power of two that brings its entries below 1; the
+    strategies do not depend on the scale and are certified against A.
+    """
     m, n = A.shape
+    largest = np.abs(A).max()
+    scaled = (np.ldexp(A, -math.frexp(largest)[1])
+              if largest >= _HIGHS_LARGE_MATRIX_VALUE else A)
     c = np.zeros(m + 1)
     c[-1] = -1.0
-    A_ub = np.hstack([-A.T, np.ones((n, 1))])
+    A_ub = np.hstack([-scaled.T, np.ones((n, 1))])
     A_eq = np.zeros((1, m + 1))
     A_eq[0, :m] = 1.0
     res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import expr as ex
 from . import pf
-from .errors import GameSpecError
+from .errors import GameSpecError, SgveError
 from .game import GameSpec, action_variables
 from .shapley import FORMS
 
@@ -78,7 +78,7 @@ def game_spec_from_document(doc: dict) -> tuple[GameSpec, str]:
             raise GameSpecError(f"{where} must be an expression string")
         try:
             return ex.parse(text, names)
-        except Exception as exc:
+        except SgveError as exc:
             raise GameSpecError(f"{where}: {exc}") from None
 
     payoff_exprs = tuple(parse_one(s, f"payoff[{k}]") for k, s in enumerate(payoff))
@@ -102,23 +102,24 @@ def game_spec_from_document(doc: dict) -> tuple[GameSpec, str]:
     return spec, kind
 
 
+def _read_json(path: str):
+    """The decoded JSON document at ``path``."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise GameSpecError(f"cannot read {path!r}: {exc}") from None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GameSpecError(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_game_document(path_or_bench: str) -> dict:
     """Read a game document from a file path or a ``bench:<name>`` pseudo-path."""
     if path_or_bench.startswith("bench:"):
         from .bench import builtin_game_file
-        try:
-            return builtin_game_file(path_or_bench[len("bench:"):])
-        except KeyError as exc:
-            raise GameSpecError(str(exc)) from None
-    try:
-        text = Path(path_or_bench).read_text()
-    except OSError as exc:
-        raise GameSpecError(f"cannot read {path_or_bench!r}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameSpecError(f"{path_or_bench}: invalid JSON: {exc}") from None
-    return doc
+        return builtin_game_file(path_or_bench[len("bench:"):])
+    return _read_json(path_or_bench)
 
 
 def monotone_map_from_document(doc: dict) -> pf.MonotoneMap:
@@ -135,7 +136,7 @@ def monotone_map_from_document(doc: dict) -> pf.MonotoneMap:
             raise GameSpecError(f"exprs must list {d} expression strings")
         try:
             return pf.explicit_map(exprs)
-        except Exception as exc:
+        except SgveError as exc:
             raise GameSpecError(f"bad map expressions: {exc}") from None
     if kind in ("minLinear", "maxLinear"):
         weights = doc.get("weights")
@@ -150,10 +151,4 @@ def monotone_map_from_document(doc: dict) -> pf.MonotoneMap:
 
 
 def load_monotone_map(path: str) -> pf.MonotoneMap:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise GameSpecError(f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise GameSpecError(f"{path}: invalid JSON: {exc}") from None
-    return monotone_map_from_document(doc)
+    return monotone_map_from_document(_read_json(path))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sgve
-from sgve import bench
+from sgve import bench, pf
 from sgve import values as values_module
 from sgve.cli import main
 from sgve.errors import GameSpecError
@@ -288,6 +288,66 @@ def test_growth_runtime_positivity_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(
         {"d": 1, "kind": "explicitExpr", "exprs": ["f1 - 10"]}))
     assert main(["growth", str(path), "--n", "4"]) == 3
+
+
+def test_growth_reads_both_estimates_off_one_orbit(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(
+        {"d": 2, "kind": "maxLinear", "weights": [[[0.5, 0.5]], [[0.3, 0.9]]]}))
+    steps = []
+    make_conjugate = pf.make_conjugate
+
+    def counting(T):
+        step = make_conjugate(T)
+        return lambda h: steps.append(1) or step(h)
+
+    monkeypatch.setattr(pf, "make_conjugate", counting)
+    assert main(["growth", str(path), "--n", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert len(steps) == 1000
+    assert "growth rate:" in out and "cauchy difference vs n/2:" in out
+
+
+_DEEP_EXPRESSIONS = {
+    "long-sum": lambda v: "+".join([v] * 1200),
+    "nested-parentheses": lambda v: "(" * 200 + v + ")" * 200,
+    "huge-literal": lambda v: f"{v} + 1e999",
+}
+
+
+@pytest.mark.parametrize("make", _DEEP_EXPRESSIONS.values(), ids=_DEEP_EXPRESSIONS)
+def test_expressions_beyond_parse_limits_exit_2(tmp_path, capsys, make):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({**bench.exshap_game_file(), "payoff": ["0", make("x")]}))
+    mapfile = tmp_path / "map.json"
+    mapfile.write_text(json.dumps({"d": 1, "kind": "explicitExpr", "exprs": [make("f1")]}))
+    for argv in (["solve", str(game), "--n", "1", "--resolution", "3"],
+                 ["growth", str(mapfile), "--n", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "error: cannot read "),
+    ("{not json", "invalid JSON: "),
+])
+def test_game_and_map_documents_share_read_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text)
+    errors = []
+    for argv in (["solve", str(path), "--n", "1"], ["growth", str(path)]):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert message in errors[0]
+
+
+def test_unknown_builtin_benchmark_exits_2(capsys):
+    assert main(["solve", "bench:unheard-of", "--n", "1"]) == 2
+    assert capsys.readouterr().err == "error: unknown builtin benchmark 'unheard-of'\n"
 
 
 def test_solve_iteration_budget_exits_3(monkeypatch, capsys):

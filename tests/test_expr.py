@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgve import expr
@@ -55,6 +55,25 @@ def test_no_implicit_multiplication():
     with pytest.raises(UnknownVariableError) as err:
         expr.parse("xy", ["x", "y"])
     assert err.value.name == "xy"
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("+".join(["x"] * 1200), 0),        # a left-deep sum 1200 levels deep
+    ("(" * 200 + "x" + ")" * 200, None),
+    ("1e999", 0),                        # a literal beyond the double range
+    ("x + 1e999", 4),
+], ids=["long-sum", "nested-parentheses", "huge-literal", "huge-operand"])
+def test_parse_raises_only_its_own_errors(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        expr.parse(text, ["x"])
+    if offset is not None:
+        assert err.value.offset == offset
+
+
+def test_long_sums_parse_and_evaluate():
+    e = expr.parse("+".join(["x"] * 500), ["x"])
+    assert expr.evaluate(e, {"x": 1.0}) == 500.0
+    assert expr.to_string(e) == " + ".join(["x"] * 500)
 
 
 def test_reserved_names_rejected_as_variables():
@@ -150,7 +169,7 @@ def _exprs(depth: int):
 
 
 @given(_exprs(4))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_print_parse_round_trip(e):
     # round-trip stability: printing then reparsing is structurally identical,
     # hence evaluation of the reparse is bit-identical by construction
@@ -158,7 +177,8 @@ def test_print_parse_round_trip(e):
 
 
 @given(st.text(max_size=30))
-@settings(max_examples=200, deadline=None)
+@example("1e999")
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_parser_never_crashes_unexpectedly(text):
     try:
         expr.parse(text, _NAMES)

@@ -454,9 +454,46 @@ def test_pure_saddle_keeps_a_huge_value():
     assert sol.duality_gap == 0.0
 
 
-def test_unbounded_bracket_reports_a_finite_gap():
+def test_unbounded_bracket_reports_a_finite_gap(monkeypatch):
     # the pure pair brackets [-1e308, 1e308]: its half-width is finite
-    # even though the width overflows
+    # even though the width overflows.  The LP certifies this matrix, so
+    # every configuration is made to fail to leave the pure pair the best
+    _fail_lp_configs(monkeypatch, range(len(game_module._LP_CONFIGS)))
     with pytest.raises(MatrixGameError) as err:
         solve_matrix_game([[1e308, -1e308], [-1e308, 1e308]], TOL)
-    assert np.isfinite(err.value.best_gap)
+    assert err.value.best_gap == 1e308
+
+
+@pytest.mark.parametrize("big", [1e15, 1e308])
+def test_entries_beyond_highs_matrix_bound_certify(big):
+    # HiGHS refuses entries of 1e15 or more; the LP gets A scaled by a
+    # power of two and the strategies are certified against A itself
+    sol = solve_matrix_game([[big, 0.0], [0.0, big]], TOL)
+    assert sol.value == big / 2
+    assert sol.duality_gap == 0.0
+    sol = solve_matrix_game([[big, -big], [-big, big]], TOL)
+    assert sol.value == 0.0
+    assert sol.duality_gap == 0.0
+
+
+def test_singular_support_hint_falls_through_to_lp(monkeypatch):
+    # rows 0 and 1 agree on columns 0 and 1, so the equalization system of
+    # the hinted support pair is singular and only the LP certifies 0.5
+    A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    hint = MatrixGameSolution(0.5, np.array([0.5, 0.5, 0.0]),
+                              np.array([0.5, 0.5]), 0.0)
+    mixes = []
+    real = game_module._equalizing_mixes
+
+    def equalizing_mixes(B):
+        mixes.append(real(B))
+        return mixes[-1]
+
+    monkeypatch.setattr(game_module, "_equalizing_mixes", equalizing_mixes)
+    calls = _fail_lp_configs(monkeypatch, ())
+    sol = solve_matrix_game(A, TOL, hint=hint)
+    assert mixes[0] is None
+    assert calls == [0]
+    assert abs(sol.value - 0.5) <= TOL
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(A, sol)

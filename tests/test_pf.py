@@ -6,7 +6,7 @@ import pytest
 from sgve import bench
 from sgve.errors import GameSpecError, PositivityError
 from sgve.pf import (MonotoneMap, apply_map, check_cone_properties,
-                     explicit_map, growth_rate, log_glasses_apply, log_sum_exp,
+                     explicit_map, growth_rate, growth_rates, log_glasses_apply, log_sum_exp,
                      make_conjugate, max_linear, min_linear, risk_sensitive_apply)
 
 
@@ -144,10 +144,30 @@ def test_growth_rate_no_overflow_in_log_space():
     assert np.allclose(chi, [2.0, 3.0], atol=1e-12)
 
 
+def test_growth_rates_match_one_orbit_per_horizon():
+    # the reference is a plain loop that restarts from log e per horizon
+    rng = np.random.default_rng(4)
+    maps = (min_linear([rng.uniform(0.1, 1.0, (3, 3)) for _ in range(3)]),
+            max_linear([rng.uniform(0.1, 1.0, (2, 3)) for _ in range(3)]),
+            explicit_map(["0.5*f1 + f2", "f1*f3^0.5", "f3 + 1"]))
+    ns = [9, 1, 4, 9, 2]
+    for T in maps:
+        e = rng.uniform(0.5, 2.0, 3)
+        step = make_conjugate(T)
+        for n, chi in zip(ns, growth_rates(T, e, ns)):
+            h = [np.log(e)]
+            for _ in range(n):
+                h.append(step(h[-1]))
+            assert np.array_equal(chi, np.exp((h[n] - h[n // 2]) / (n - n // 2)))
+            assert np.array_equal(chi, growth_rate(T, e, n))
+
+
 def test_growth_rate_argument_errors():
     T = identity_map(2)
     with pytest.raises(ValueError):
         growth_rate(T, np.ones(2), 0)
+    with pytest.raises(ValueError):
+        growth_rates(T, np.ones(2), [4, 0])
     with pytest.raises(PositivityError):
         growth_rate(T, np.array([1.0, 0.0]), 5)
     for bad in (np.inf, np.nan):
