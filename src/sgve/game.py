@@ -35,7 +35,9 @@ _SUPPORT_THRESHOLD = 1e-9
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call: the import
-    is most of the CLI's start-up time, and many commands solve no LP."""
+    is most of the CLI's start-up time, and many commands solve no LP:
+    ``sgve growth``, and ``sgve solve`` and ``sgve curve`` on the exshap
+    benchmark, whose games double oracle certifies."""
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
 
@@ -330,6 +332,100 @@ def _support_solve(A: np.ndarray,
     return _certify(A, p, q)
 
 
+# double oracle runs only on games whose shorter side has at least
+# _DO_MIN_SIDE actions, so smaller games keep the LP path and the
+# strategies it returns, and gives up once a player's restricted action
+# set passes _DO_MAX_SIDE: a dense game with a large support costs far more
+# rounds than one LP (a random 50x50 game ~15 ms against ~5 ms)
+_DO_MIN_SIDE = 8
+_DO_MAX_SIDE = 24
+# Dantzig's rule can cycle on a degenerate tableau; past this many pivots
+# the restricted solve gives up instead
+_TABLEAU_PIVOTS = 200
+
+
+def _tableau_solve(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Optimal row and column mixes of the matrix game B, or None if the
+    simplex passes ``_TABLEAU_PIVOTS`` pivots.
+
+    A dense tableau simplex (Dantzig's rule) on ``max 1^T y`` subject to
+    ``(B - min B + 1) y <= 1``, ``y >= 0``: the shifted matrix is positive,
+    so the slack basis is feasible and the LP bounded.  The column mix is
+    y and the row mix the duals, the slacks' reduced costs, each
+    normalized by :func:`_exact_row_sums`.
+    """
+    m, n = B.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = B - B.min() + 1.0
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[m, :n] = -1.0
+    basis = np.arange(n, n + m)
+    for _ in range(_TABLEAU_PIVOTS):
+        e = T[m, :-1].argmin()
+        if T[m, e] >= -1e-12:
+            y = np.zeros(n + m)
+            y[basis] = T[:m, -1]
+            return _exact_row_sums(T[m, n:n + m]), _exact_row_sums(y[:n])
+        col = T[:m, e]
+        ratios = np.full(m, np.inf)
+        pos = col > 1e-12
+        ratios[pos] = np.maximum(T[:m, -1][pos], 0.0) / col[pos]
+        r = ratios.argmin()
+        pivot = T[r] / T[r, e]
+        T -= T[:, e, None] * pivot
+        T[r] = pivot
+        basis[r] = e
+    return None
+
+
+def _double_oracle(A: np.ndarray, start: MatrixGameSolution):
+    """Candidate batches of double oracle (McMahan, Gordon & Blum 2003) on
+    A, from the supports of ``start``.
+
+    Each round solves the game restricted to the current rows and columns
+    by :func:`_tableau_solve`, yields its strategies, embedded and
+    certified against A, with the equalizing strategies on their supports,
+    and adds each player's best response against A.  It ends when the
+    restricted solve gives up, when neither best response is new, or when
+    a side passes ``_DO_MAX_SIDE``.
+    """
+    rows = np.flatnonzero(start.row_strategy > _SUPPORT_THRESHOLD)
+    cols = np.flatnonzero(start.col_strategy > _SUPPORT_THRESHOLD)
+    while True:
+        mixes = _tableau_solve(A[np.ix_(rows, cols)])
+        if mixes is None:
+            return
+        p = np.zeros(A.shape[0])
+        p[rows] = mixes[0]
+        q = np.zeros(A.shape[1])
+        q[cols] = mixes[1]
+        sol = _certify(A, p, q)
+        yield [sol, _support_solve(A, sol)]
+        i, j = (A @ q).argmax(), (p @ A).argmin()
+        if i in rows and j in cols:
+            return
+        rows = np.union1d(rows, [i])
+        cols = np.union1d(cols, [j])
+        if max(len(rows), len(cols)) > _DO_MAX_SIDE:
+            return
+
+
+def _candidate_batches(A: np.ndarray, hint: MatrixGameSolution | None,
+                       pure: MatrixGameSolution):
+    """The sources of :func:`solve_matrix_game` after the pure pair, in
+    order, one batch of candidates per step."""
+    if hint is not None:
+        yield [_support_solve(A, hint)]
+    if min(A.shape) >= _DO_MIN_SIDE:
+        yield from _double_oracle(A, pure if hint is None else hint)
+    for config in _LP_CONFIGS:
+        # degenerate games can leave a simplex basic solution with a gap
+        # far above machine precision; the support solve often repairs it
+        lp = _lp_solve(A, config)
+        yield [] if lp is None else [lp, _support_solve(A, lp)]
+
+
 def solve_matrix_game(A, tol: float = 1e-9,
                       hint: MatrixGameSolution | None = None) -> MatrixGameSolution:
     """Gap-certified mixed value of the zero-sum game with payoff matrix A.
@@ -339,11 +435,19 @@ def solve_matrix_game(A, tol: float = 1e-9,
     pair, the maximin row against the minimax column; an exact pure saddle
     has gap 0.  Then the sources are visited in order: ``hint`` (a
     solution of a nearby game of the same shape, say the previous
-    iterate's), then each LP configuration of ``_LP_CONFIGS``.  The hint
-    adds the equalizing strategies on its supports; an LP run adds its
-    solution, then the equalizing strategies on that solution's supports.
-    The candidate with the smallest gap is kept (ties go to the earlier
-    one) and returned as soon as its gap is within ``tol``.
+    iterate's), double oracle on games whose sides both have at least
+    ``_DO_MIN_SIDE`` actions, then each LP configuration of
+    ``_LP_CONFIGS``.  The hint adds the equalizing strategies on its
+    supports.  Double oracle starts from the hint's supports, else from
+    the pure pair; each of its rounds adds the restricted game's solution
+    and the equalizing strategies on that solution's supports, then grows
+    the restricted game by both players' best responses, until it runs out
+    of new best responses or passes ``_DO_MAX_SIDE`` actions a side.  An
+    LP run adds its solution, then the equalizing strategies on that
+    solution's supports.  The candidate with the smallest gap is kept
+    (ties go to the earlier one) and returned as soon as its gap is within
+    ``tol``; only then does the stream stop, so a game that double oracle
+    certifies imports no ``scipy.optimize``.
     Raises :class:`MatrixGameError` if the hint's strategy lengths do not
     match A, or if no candidate certifies a duality gap within ``tol``;
     the error's ``best_gap`` is then the smallest gap reached.
@@ -371,19 +475,12 @@ def solve_matrix_game(A, tol: float = 1e-9,
     q = np.zeros(A.shape[1])
     q[j] = 1.0
     best = _bracketed(p, q, float(row_min[i]), float(col_max[j]))
-    sources = iter(((hint,) if hint is not None else ()) + _LP_CONFIGS)
+    batches = _candidate_batches(A, hint, best)
     while best.duality_gap > tol:
-        source = next(sources, None)
-        if source is None:
+        found = next(batches, None)
+        if found is None:
             raise MatrixGameError("could not certify requested duality gap",
                                   best_gap=best.duality_gap)
-        if isinstance(source, MatrixGameSolution):
-            found = [_support_solve(A, source)]
-        else:
-            # degenerate games can leave a simplex basic solution with a gap
-            # far above machine precision; the support solve often repairs it
-            lp = _lp_solve(A, source)
-            found = [] if lp is None else [lp, _support_solve(A, lp)]
         for sol in found:
             if sol is not None and sol.duality_gap < best.duality_gap:
                 best = sol

@@ -6,8 +6,9 @@ solved and gap-certified by :func:`solve_matrix_game` in every form.
 Repeated applications pass the per-state solutions of one apply as the
 hints of the next: a state is solved by an exact pure saddle, else by the
 equalizing strategies on its hinted supports if they certify within
-``tol``, else by an LP.  The hints are passed explicitly; the operator
-holds no state.  The
+``tol``, else, when both players have at least eight actions, by double
+oracle grown from those supports, else by an LP.  The hints are passed
+explicitly; the operator holds no state.  The
 tagged forms (Markov decision processes, perfect information, switching
 control) only declare the game class, checked against the controller tags;
 they select no other formula.  Where the untagged player of a state is a

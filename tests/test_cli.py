@@ -381,12 +381,19 @@ def test_bench_failing_suite_exits_3(monkeypatch, capsys):
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # the CLI loads scipy.optimize on its first LP or fit, so --help,
-    # parser rejections and `sgve growth` skip its import time
+    # parser rejections and `sgve growth` skip its import time, and so do
+    # `sgve solve` and `sgve curve` on exshap, whose games double oracle
+    # certifies
     src = str(Path(sgve.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, sgve.cli; print('scipy.optimize' in sys.modules)"],
+         "import sys, sgve.cli as cli\n"
+         "print('scipy.optimize' in sys.modules)\n"
+         "assert cli.main(['solve', 'bench:exshap', '--lambda', '0.5']) == 0\n"
+         "assert cli.main(['curve', 'bench:exshap', '--lambda-grid', '0.6,0.5,0.45']) == 0\n"
+         "print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert lines[0] == lines[-1] == "False"

@@ -274,6 +274,12 @@ def _fail_lp_configs(monkeypatch, failing):
     return calls
 
 
+def _no_double_oracle(monkeypatch):
+    """Make the double-oracle source find nothing, so that every game the
+    hint does not certify goes to the LP list."""
+    monkeypatch.setattr(game_module, "_double_oracle", lambda A, start: iter(()))
+
+
 @pytest.mark.parametrize("failing", [0, 1, 2])
 def test_lp_fallback_certifies(monkeypatch, failing):
     calls = _fail_lp_configs(monkeypatch, range(failing))
@@ -288,6 +294,7 @@ def test_lp_fallback_certifies(monkeypatch, failing):
 def test_real_lp_fallback_certifies(monkeypatch):
     # on scipy 1.17 presolve-off simplex stops at gap 2.4e-8 on this grid,
     # support solve included; the interior-point run certifies
+    _no_double_oracle(monkeypatch)
     calls = _fail_lp_configs(monkeypatch, ())
     A = parametric.mckinsey_payoff_matrix(1.0, 7)
     sol = solve_matrix_game(A, TOL)
@@ -299,7 +306,9 @@ def test_real_lp_fallback_certifies(monkeypatch):
 def test_last_resort_lp_certifies(monkeypatch):
     # on scipy 1.17 only the tight-tolerance simplex certifies these: the
     # 201-point grids stop at gaps 2.9e-9 to 3.0e-8 before it, and on the
-    # 28-point grid both earlier configurations report an unknown status
+    # 28-point grid both earlier configurations report an unknown status.
+    # Double oracle certifies all of them without an LP, so it is switched off
+    _no_double_oracle(monkeypatch)
     calls = _fail_lp_configs(monkeypatch, ())
     for z in (0.25, 0.5, 1.0):
         A = parametric.mckinsey_payoff_matrix(z, 201)
@@ -495,5 +504,103 @@ def test_singular_support_hint_falls_through_to_lp(monkeypatch):
     assert mixes[0] is None
     assert calls == [0]
     assert abs(sol.value - 0.5) <= TOL
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(A, sol)
+
+
+def _column_lp_value(A):
+    # the column player's LP, independent of the kernel's row-player LP:
+    # minimize u s.t. A q <= u 1, q in the simplex
+    from scipy.optimize import linprog
+    m, n = A.shape
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=np.hstack([A, -np.ones((m, 1))]), b_ub=np.zeros(m),
+                  A_eq=np.append(np.ones(n), 0.0)[None], b_eq=[1.0],
+                  bounds=[(0, None)] * n + [(None, None)])
+    assert res.success
+    return res.fun
+
+
+def test_tableau_solve_matches_oracles():
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        A = rng.uniform(-1, 1, rng.integers(8, 13, 2))
+        sol = game_module._certify(A, *game_module._tableau_solve(A))
+        assert sol.duality_gap <= TOL
+        assert abs(sol.value - _column_lp_value(A)) <= 2 * TOL
+        B = A[:rng.integers(2, 7), :rng.integers(2, 7)]
+        sub = game_module._certify(B, *game_module._tableau_solve(B))
+        assert sub.duality_gap <= TOL
+        assert abs(sub.value - matrix_game_bruteforce(B)) <= 2 * TOL
+
+
+def test_double_oracle_past_the_size_cap_falls_through_to_lp(monkeypatch):
+    # a dense 60x60 random game has an optimal support of about 30 actions
+    # a side, more than double oracle may grow its restricted game to
+    A = np.random.default_rng(43).uniform(-1, 1, (60, 60))
+    sides = []
+    real = game_module._tableau_solve
+
+    def tableau_solve(B):
+        sides.append(max(B.shape))
+        return real(B)
+
+    monkeypatch.setattr(game_module, "_tableau_solve", tableau_solve)
+    calls = _fail_lp_configs(monkeypatch, ())
+    sol = solve_matrix_game(A, TOL)
+    assert max(sides) == game_module._DO_MAX_SIDE
+    assert calls == [0]
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(A, sol)
+    assert abs(sol.value - _column_lp_value(A)) <= 2 * TOL
+
+
+def test_stale_hint_grows_by_double_oracle_without_lp(monkeypatch):
+    # the supports of the z = 0.5 grid no longer certify at z = 0.55; double
+    # oracle grows them into the new supports
+    hint = solve_matrix_game(parametric.mckinsey_payoff_matrix(0.5, 201), TOL)
+    A = parametric.mckinsey_payoff_matrix(0.55, 201)
+    stale = game_module._support_solve(A, hint)
+    assert stale is None or stale.duality_gap > TOL
+    expected = _column_lp_value(A)
+    _forbid_lp(monkeypatch)
+    sol = solve_matrix_game(A, TOL, hint=hint)
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(A, sol)
+    assert abs(sol.value - expected) <= 2 * TOL
+
+
+def test_tableau_pivot_cap_falls_through_to_lp(monkeypatch):
+    # the ties of a {-1, 0, 1} payoff make degenerate pivots; with the pivot
+    # cap too small for this 10x10 game the restricted solve gives up, and
+    # double oracle ends at once instead of looping
+    A = np.random.default_rng(41).integers(-1, 2, (10, 10)).astype(float)
+    assert game_module._tableau_solve(A) is not None
+    monkeypatch.setattr(game_module, "_TABLEAU_PIVOTS", 5)
+    assert game_module._tableau_solve(A) is None
+    restricted = []
+    real = game_module._tableau_solve
+
+    def tableau_solve(B):
+        restricted.append(B.shape)
+        return real(B)
+
+    monkeypatch.setattr(game_module, "_tableau_solve", tableau_solve)
+    calls = _fail_lp_configs(monkeypatch, ())
+    sol = solve_matrix_game(A, TOL, hint=MatrixGameSolution(
+        0.0, np.full(10, 0.1), np.full(10, 0.1), 0.0))
+    assert restricted == [(10, 10)]
+    assert calls == [0]
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(A, sol)
+
+
+@pytest.mark.parametrize("z, points", [(0.95, 33), (0.7999999999999999, 27)])
+def test_mckinsey_grids_certify_at_tight_tol(z, points):
+    # every LP configuration, support solve included, stops above 1e-9 on
+    # these grids (best gaps 2.6e-8 and 2.1e-8); double oracle certifies
+    A = parametric.mckinsey_payoff_matrix(z, points)
+    sol = solve_matrix_game(A, TOL)
     assert sol.duality_gap <= TOL
     assert certificate_holds(A, sol)
