@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -36,8 +36,49 @@ _RESERVED = ("exp", "log")
 MAX_DEPTH = 600
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Structural equality, hash and repr that walk the tree with a stack:
+    the dataclass methods recurse once per level, and a 500-term sum, which
+    :func:`parse` accepts, is 500 levels deep."""
+
+    def _preorder(self) -> list[_Node]:
+        nodes, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(v for v in reversed(_values(node)) if isinstance(v, _Node))
+        return nodes
+
+    def _key(self) -> list:
+        # each class fixes its number of subtrees, so the pre-order list of
+        # (class, fields other than subtrees) pairs determines the tree
+        return [(type(node),
+                 tuple(v for v in _values(node) if not isinstance(v, _Node)))
+                for node in self._preorder()]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(tuple(self._key()))
+
+    def __repr__(self):
+        done = []  # reprs of the finished subtrees, the latest on top
+        for node in reversed(self._preorder()):
+            parts = (f"{f.name}={done.pop() if isinstance(v, _Node) else repr(v)}"
+                     for f, v in zip(fields(node), _values(node)))
+            done.append(f"{type(node).__name__}({', '.join(parts)})")
+        return done[0]
+
+
+def _values(node: _Node) -> list:
+    return [getattr(node, f.name) for f in fields(node)]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Num(_Node):
     value: float
 
     def __post_init__(self):
@@ -45,24 +86,24 @@ class Num:
             raise ValueError("expression constants must be finite")
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
     func: str  # 'exp' or 'log'
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"

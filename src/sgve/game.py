@@ -35,9 +35,9 @@ _SUPPORT_THRESHOLD = 1e-9
 
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call: the import
-    is most of the CLI's start-up time, and many commands solve no LP:
-    ``sgve growth``, and ``sgve solve`` and ``sgve curve`` on the exshap
-    benchmark, whose games double oracle certifies."""
+    is most of the CLI's start-up time, and only the last-resort LP of
+    :func:`solve_matrix_game` needs it, on games the numpy simplex does
+    not certify."""
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(*args, **kwargs)
 
@@ -229,50 +229,43 @@ def _certify(A: np.ndarray, p: np.ndarray, q: np.ndarray) -> MatrixGameSolution:
     return _bracketed(p, q, float((p @ A).min()), float((A @ q).max()))
 
 
-# presolve-off simplex first: on large dense game LPs interior point takes
-# several times as long (about 7x on a 201x201 McKinsey grid).  On scipy 1.17
-# simplex stops above a 1e-9 gap on many McKinsey payoff grids, support solve
-# included (z = 1 at 7 points: 2.4e-8), where interior point certifies.  Last
-# comes simplex at the tightest feasibility tolerances HiGHS accepts: it
-# certifies the 201-point grids and a 28-point one on which both runs above
-# end in an unknown model status.  Tightening the first entry instead would
-# change the supports, and the LP count, of solves that certify today
-_LP_CONFIGS = (
-    {"method": "highs", "options": {"presolve": False}},
-    {"method": "highs-ipm", "options": {"presolve": True}},
-    {"method": "highs", "options": {"presolve": False,
-                                    "primal_feasibility_tolerance": 1e-10,
-                                    "dual_feasibility_tolerance": 1e-10}},
-)
+def _embedded(A: np.ndarray, rows, cols, p_sub, q_sub) -> MatrixGameSolution:
+    """Mixes on the rows and columns of a submatrix, zero elsewhere,
+    certified against A."""
+    p = np.zeros(A.shape[0])
+    p[rows] = p_sub
+    q = np.zeros(A.shape[1])
+    q[cols] = q_sub
+    return _certify(A, p, q)
 
 
-# HiGHS's default large_matrix_value: it refuses matrices with entries this large
-_HIGHS_LARGE_MATRIX_VALUE = 1e15
+# HiGHS refuses entries this large (its default large_matrix_value), and
+# the tableau's shift B - min B + 1 overflows near the float limit
+_LARGE_ENTRY = 1e15
 
 
-def _lp_solve(A: np.ndarray, config: dict) -> MatrixGameSolution | None:
-    """One LP run: maximize v s.t. p^T A >= v 1, p in the simplex.
-
-    A matrix with an entry of ``_HIGHS_LARGE_MATRIX_VALUE`` or more goes to
-    HiGHS times the power of two that brings its entries below 1; the
-    strategies do not depend on the scale and are certified against A.
-    """
-    m, n = A.shape
+def _scaled(A: np.ndarray) -> np.ndarray:
+    """A, or A times the power of two that brings its entries below 1 if
+    one is ``_LARGE_ENTRY`` or more: optimal strategies ignore the scale."""
     largest = np.abs(A).max()
-    scaled = (np.ldexp(A, -math.frexp(largest)[1])
-              if largest >= _HIGHS_LARGE_MATRIX_VALUE else A)
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-scaled.T, np.ones((n, 1))])
-    A_eq = np.zeros((1, m + 1))
-    A_eq[0, :m] = 1.0
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * m + [(None, None)], **config)
+    return np.ldexp(A, -math.frexp(largest)[1]) if largest >= _LARGE_ENTRY else A
+
+
+def _lp_solve(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row and column mixes from HiGHS's presolve-off simplex on maximize v
+    s.t. p^T A >= v 1, p in the simplex, or None if it reports failure.
+    The last resort: at the float limit (entries ~1e8 at tol 1e-9) it
+    certifies some games that the tableau does not."""
+    m, n = A.shape
+    res = linprog(np.append(np.zeros(m), -1.0),
+                  A_ub=np.hstack([-_scaled(A).T, np.ones((n, 1))]), b_ub=np.zeros(n),
+                  A_eq=np.append(np.ones(m), 0.0)[None], b_eq=[1.0],
+                  bounds=[(0, None)] * m + [(None, None)],
+                  method="highs", options={"presolve": False})
     if not res.success:
         return None
-    p = _exact_row_sums(res.x[:m])
-    q = _exact_row_sums(np.abs(np.asarray(res.ineqlin.marginals, dtype=float)))
-    return _certify(A, p, q)
+    return (_exact_row_sums(res.x[:m]),
+            _exact_row_sums(np.abs(np.asarray(res.ineqlin.marginals, dtype=float))))
 
 
 def _equalizing_mixes(B: np.ndarray) -> np.ndarray | None:
@@ -323,55 +316,67 @@ def _support_solve(A: np.ndarray,
         cols = cols[np.argsort(sol.col_strategy[cols])[::-1][:k]]
         cols.sort()
     mixes = _equalizing_mixes(A[np.ix_(rows, cols)])
-    if mixes is None:
-        return None
-    p = np.zeros(A.shape[0])
-    p[rows] = mixes[0]
-    q = np.zeros(A.shape[1])
-    q[cols] = mixes[1]
-    return _certify(A, p, q)
+    return None if mixes is None else _embedded(A, rows, cols, *mixes)
 
 
-# double oracle runs only on games whose shorter side has at least
-# _DO_MIN_SIDE actions, so smaller games keep the LP path and the
-# strategies it returns, and gives up once a player's restricted action
-# set passes _DO_MAX_SIDE: a dense game with a large support costs far more
-# rounds than one LP (a random 50x50 game ~15 ms against ~5 ms)
-_DO_MIN_SIDE = 8
+# double oracle runs only on games whose shorter side passes _DO_CROSSOVER.
+# The whole-matrix tableau is faster on dense games of every size up to 80
+# (a random 50x50 game: 2.0 ms against 12 ms) and on cold McKinsey grids up
+# to 55 points, but from 51 points on double oracle from the previous
+# iterate's supports wins (`sgve curve bench:mckinsey --resolution 55`:
+# 26-32 ms against 68-72 ms).  It gives up once a player's restricted
+# action set passes _DO_MAX_SIDE: a dense game with a large support costs
+# more rounds than the whole tableau
+_DO_CROSSOVER = 50
 _DO_MAX_SIDE = 24
-# Dantzig's rule can cycle on a degenerate tableau; past this many pivots
-# the restricted solve gives up instead
-_TABLEAU_PIVOTS = 200
+# Dantzig's rule takes the fewest pivots but can cycle on a degenerate
+# tableau: past _TABLEAU_PIVOTS pivots per action of the game the simplex
+# switches to Bland's rule, which cannot (Bland 1977), and past
+# _TABLEAU_MAX_PIVOTS per action it gives up.  Dantzig's rule has needed at
+# most 1.7 pivots per action on seeded random games and McKinsey grids up
+# to 201 points, and 3.7 on a dense random 300x300 game
+_TABLEAU_PIVOTS = 10
+_TABLEAU_MAX_PIVOTS = 100
 
 
 def _tableau_solve(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Optimal row and column mixes of the matrix game B, or None if the
-    simplex passes ``_TABLEAU_PIVOTS`` pivots.
+    simplex passes ``_TABLEAU_MAX_PIVOTS`` pivots per action.
 
-    A dense tableau simplex (Dantzig's rule) on ``max 1^T y`` subject to
-    ``(B - min B + 1) y <= 1``, ``y >= 0``: the shifted matrix is positive,
-    so the slack basis is feasible and the LP bounded.  The column mix is
-    y and the row mix the duals, the slacks' reduced costs, each
-    normalized by :func:`_exact_row_sums`.
+    A dense tableau simplex on ``max 1^T y`` subject to
+    ``(S - min S + 1) y <= 1``, ``y >= 0``, where S is B through
+    :func:`_scaled`: the shifted matrix is positive, so the slack basis is
+    feasible and the LP bounded.  Dantzig's rule picks the pivots, Bland's
+    past ``_TABLEAU_PIVOTS`` per action.  The column mix is y and the row mix
+    the duals, the slacks' reduced costs, each normalized by
+    :func:`_exact_row_sums`.
     """
     m, n = B.shape
+    S = _scaled(B)
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = B - B.min() + 1.0
+    T[:m, :n] = S - S.min() + 1.0
     T[:m, n:n + m] = np.eye(m)
     T[:m, -1] = 1.0
     T[m, :n] = -1.0
     basis = np.arange(n, n + m)
-    for _ in range(_TABLEAU_PIVOTS):
-        e = T[m, :-1].argmin()
-        if T[m, e] >= -1e-12:
+    for pivots in range(_TABLEAU_MAX_PIVOTS * (m + n)):
+        costs = T[m, :-1]
+        e = costs.argmin()  # Dantzig's rule: the steepest improving column
+        if costs[e] >= -1e-12:
             y = np.zeros(n + m)
             y[basis] = T[:m, -1]
             return _exact_row_sums(T[m, n:n + m]), _exact_row_sums(y[:n])
+        bland = pivots >= _TABLEAU_PIVOTS * (m + n)
+        if bland:  # Bland's rule: the first improving column
+            e = (costs < -1e-12).argmax()
         col = T[:m, e]
         ratios = np.full(m, np.inf)
         pos = col > 1e-12
         ratios[pos] = np.maximum(T[:m, -1][pos], 0.0) / col[pos]
         r = ratios.argmin()
+        if bland:  # of the tied rows, the one with the first basic variable
+            ties = np.flatnonzero(ratios == ratios[r])
+            r = ties[basis[ties].argmin()]
         pivot = T[r] / T[r, e]
         T -= T[:, e, None] * pivot
         T[r] = pivot
@@ -396,13 +401,9 @@ def _double_oracle(A: np.ndarray, start: MatrixGameSolution):
         mixes = _tableau_solve(A[np.ix_(rows, cols)])
         if mixes is None:
             return
-        p = np.zeros(A.shape[0])
-        p[rows] = mixes[0]
-        q = np.zeros(A.shape[1])
-        q[cols] = mixes[1]
-        sol = _certify(A, p, q)
+        sol = _embedded(A, rows, cols, *mixes)
         yield [sol, _support_solve(A, sol)]
-        i, j = (A @ q).argmax(), (p @ A).argmin()
+        i, j = (A @ sol.col_strategy).argmax(), (sol.row_strategy @ A).argmin()
         if i in rows and j in cols:
             return
         rows = np.union1d(rows, [i])
@@ -417,13 +418,14 @@ def _candidate_batches(A: np.ndarray, hint: MatrixGameSolution | None,
     order, one batch of candidates per step."""
     if hint is not None:
         yield [_support_solve(A, hint)]
-    if min(A.shape) >= _DO_MIN_SIDE:
+    if min(A.shape) > _DO_CROSSOVER:
         yield from _double_oracle(A, pure if hint is None else hint)
-    for config in _LP_CONFIGS:
-        # degenerate games can leave a simplex basic solution with a gap
-        # far above machine precision; the support solve often repairs it
-        lp = _lp_solve(A, config)
-        yield [] if lp is None else [lp, _support_solve(A, lp)]
+    for solve in (_tableau_solve, _lp_solve):
+        # degenerate games can leave a basic solution with a gap far above
+        # machine precision; the support solve often repairs it
+        mixes = solve(A)
+        sol = None if mixes is None else _certify(A, *mixes)
+        yield [] if sol is None else [sol, _support_solve(A, sol)]
 
 
 def solve_matrix_game(A, tol: float = 1e-9,
@@ -433,21 +435,18 @@ def solve_matrix_game(A, tol: float = 1e-9,
     One stream of candidates, each certified against A, so the certificate
     is independent of how a candidate was found.  The first is the pure
     pair, the maximin row against the minimax column; an exact pure saddle
-    has gap 0.  Then the sources are visited in order: ``hint`` (a
-    solution of a nearby game of the same shape, say the previous
-    iterate's), double oracle on games whose sides both have at least
-    ``_DO_MIN_SIDE`` actions, then each LP configuration of
-    ``_LP_CONFIGS``.  The hint adds the equalizing strategies on its
-    supports.  Double oracle starts from the hint's supports, else from
-    the pure pair; each of its rounds adds the restricted game's solution
-    and the equalizing strategies on that solution's supports, then grows
-    the restricted game by both players' best responses, until it runs out
-    of new best responses or passes ``_DO_MAX_SIDE`` actions a side.  An
-    LP run adds its solution, then the equalizing strategies on that
-    solution's supports.  The candidate with the smallest gap is kept
-    (ties go to the earlier one) and returned as soon as its gap is within
-    ``tol``; only then does the stream stop, so a game that double oracle
-    certifies imports no ``scipy.optimize``.
+    has gap 0.  Then come, in order: the equalizing strategies on the
+    supports of ``hint`` (a solution of a nearby game of the same shape,
+    say the previous iterate's); on games whose sides both have more than
+    ``_DO_CROSSOVER`` actions, the rounds of :func:`_double_oracle` from the
+    hint's supports, else the pure pair's; the numpy simplex
+    :func:`_tableau_solve` on the whole matrix; and last one HiGHS LP,
+    :func:`_lp_solve`.  Each double-oracle round, the simplex and the LP
+    add their solution and the equalizing strategies on its supports.  The
+    candidate with the smallest gap is kept (ties go to the earlier one)
+    and returned as soon as its gap is within ``tol``; only then does the
+    stream stop, so a game that the simplex certifies imports no
+    ``scipy.optimize``.
     Raises :class:`MatrixGameError` if the hint's strategy lengths do not
     match A, or if no candidate certifies a duality gap within ``tol``;
     the error's ``best_gap`` is then the smallest gap reached.

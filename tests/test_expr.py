@@ -74,6 +74,8 @@ def test_long_sums_parse_and_evaluate():
     e = expr.parse("+".join(["x"] * 500), ["x"])
     assert expr.evaluate(e, {"x": 1.0}) == 500.0
     assert expr.to_string(e) == " + ".join(["x"] * 500)
+    # equality and repr walk the tree without recursing once per level
+    assert expr.parse(expr.to_string(e), ["x"]) == e and repr(e).count("Var") == 500
 
 
 def test_reserved_names_rejected_as_variables():
