@@ -25,7 +25,7 @@ from .errors import (GameSpecError, IterationBudgetError, MatrixGameError,
                      PositivityError, SgveError)
 from .game import discretize
 from .gamefile import game_spec_from_document, load_game_document, load_monotone_map
-from .pf import growth_rates
+from .pf import growth_bracket, growth_rates
 from .shapley import ShapleyOperator
 
 EXIT_OK = 0
@@ -131,6 +131,12 @@ def _cmd_growth(args) -> int:
     e = np.ones(T.d) if args.start is None else np.asarray(args.start, dtype=float)
     if e.shape != (T.d,) or not (np.isfinite(e).all() and (e > 0).all()):
         raise GameSpecError(f"--e must list {T.d} finite, positive starting values")
+    # a bad --n takes the orbit route, which rejects it
+    bracket = growth_bracket(T) if args.n >= 1 else None
+    if bracket is not None:
+        print("growth rate:", " ".join([repr(bracket.rate)] * T.d))
+        print(f"collatz-wielandt bracket: {bracket.lo!r} {bracket.hi!r}")
+        return EXIT_OK
     ns = [args.n, args.n // 2] if args.n >= 2 else [args.n]
     chi, *half = growth_rates(T, e, ns)
     print("growth rate:", " ".join(repr(float(x)) for x in chi))
@@ -179,12 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", required=True, choices=sorted(SUITES))
     bench.set_defaults(run=_cmd_bench)
 
-    growth = sub.add_parser("growth", help="geometric growth rate of a monotone map")
+    growth = sub.add_parser(
+        "growth", help="geometric growth rate of a monotone map",
+        description="Growth rate of a monotone map.  A min/max-linear map whose "
+                    "Collatz-Wielandt bracket policy iteration closes prints the "
+                    "rate and the bracket; any other map iterates its log-space "
+                    "conjugate from --e for --n steps and prints the estimate and "
+                    "its difference from the one at n/2.")
     growth.add_argument("mapfile", help="monotone-map JSON path")
     growth.add_argument("--n", type=int, default=10_000,
-                        help="iteration horizon (default 10000)")
+                        help="iteration horizon when no bracket closes (default 10000)")
     growth.add_argument("--e", dest="start", type=_list_of(float), default=None,
-                        help="starting vector (default all ones)")
+                        help="starting vector when no bracket closes (default all ones)")
     growth.set_defaults(run=_cmd_growth)
     return parser
 

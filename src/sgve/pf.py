@@ -7,15 +7,24 @@ into an operator that is monotone and commutes with additive constants,
 i.e. a dynamic programming operator.  Growth rates of min/max-linear maps
 are computed entirely through that conjugate in log space, so iterates
 never overflow, and the min-linear conjugate admits the stable log-sum-exp
-representation used in risk-sensitive control.  Explicit maps still take
-the literal :func:`log_glasses_apply` route, which overflows: ``2*f1,
-3*f2`` raises :class:`PositivityError` at n = 10000.
+representation used in risk-sensitive control.
+
+The growth rate of a min/max-linear map is first sought by policy
+iteration over row selections (Rothblum 1984; Cochet-Terrasson, Cohen,
+Gaubert, McGettrick & Quadrat 1998), certified by the Collatz-Wielandt
+bracket: for any x > 0, every coordinate's rate lies in
+[min_i T(x)_i/x_i, max_i T(x)_i/x_i].  Maps whose bracket does not close,
+reducible ones such as diag(2, 3) among them, and explicit maps iterate
+the conjugate for n steps instead.  An explicit map's conjugate is still
+the literal :func:`log_glasses_apply`, which overflows: ``2*f1, 3*f2``
+raises :class:`PositivityError` at n = 10000.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,13 +34,20 @@ from .errors import EvalDomainError, GameSpecError, PositivityError
 __all__ = [
     "MonotoneMap", "min_linear", "max_linear", "explicit_map",
     "apply_map", "log_glasses_apply", "risk_sensitive_apply",
-    "growth_rate", "growth_rates", "ConeReport", "check_cone_properties",
+    "growth_rate", "growth_rates", "growth_bracket", "GrowthBracket",
+    "ConeReport", "check_cone_properties",
     "log_sum_exp", "make_conjugate",
 ]
 
 KINDS = ("minLinear", "maxLinear", "explicitExpr")
 # ufunc reductions: the Python wrappers of np.min and np.max cost ~10% of a step
 _REDUCE = {"minLinear": np.minimum.reduce, "maxLinear": np.maximum.reduce}
+# policy iteration: the row a coordinate prefers, and "strictly better"
+_PREFER = {"minLinear": (np.argmin, np.less), "maxLinear": (np.argmax, np.greater)}
+# a bracket is closed once log hi - log lo is at most BRACKET_TOL; policy
+# iteration gives up after MAX_POLICY_STEPS Perron vectors
+BRACKET_TOL = 1e-12
+MAX_POLICY_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -146,6 +162,13 @@ def log_sum_exp(a) -> np.ndarray | float:
     return m + np.where(np.isfinite(m), s, 0.0)
 
 
+def _padded_weights(T: MonotoneMap) -> np.ndarray:
+    """The weight families as one (d, F, d) array, F the largest family
+    size; smaller families repeat their first vector."""
+    F = max(len(fam) for fam in T.weights)
+    return np.array([fam + fam[:1] * (F - len(fam)) for fam in T.weights])
+
+
 def make_conjugate(T: MonotoneMap):
     """Log-coordinate application h -> log(T(exp(h))) as a callable.
 
@@ -158,10 +181,8 @@ def make_conjugate(T: MonotoneMap):
     """
     if T.kind == "explicitExpr":
         return lambda h: log_glasses_apply(T, h)
-    F = max(len(fam) for fam in T.weights)
-    W = np.array([fam + fam[:1] * (F - len(fam)) for fam in T.weights])
     with np.errstate(divide="ignore"):
-        log_weights = np.log(W)
+        log_weights = np.log(_padded_weights(T))
     reduce = _REDUCE[T.kind]
     return lambda h: reduce(log_sum_exp(log_weights + h), axis=1)
 
@@ -181,29 +202,110 @@ def risk_sensitive_apply(weight_sets, h) -> np.ndarray:
     return make_conjugate(T)(h)
 
 
-def growth_rate(T: MonotoneMap, e, n: int) -> np.ndarray:
-    """Per-coordinate geometric growth rate estimate after n steps.
+class GrowthBracket(NamedTuple):
+    """Collatz-Wielandt bracket lo <= chi_i <= hi on every coordinate's
+    growth rate chi_i."""
+    lo: float
+    hi: float
 
-    Works on h = log e throughout and returns the exponential of the
-    average conjugate displacement over the tail window (n/2, n].  For a
-    positively homogeneous map, which every min- and max-linear map is,
-    the conjugate commutes with additive constants, so the window
-    differences remove the starting-vector offset exactly: the estimate is
-    invariant under rescaling e and converges to the growth rate whenever
-    the time-average limit exists.  An explicit map need not be
-    homogeneous (``f1 + 1`` is not), and then rescaling e can change it.
+    @property
+    def rate(self) -> float:
+        """The bracket's geometric midpoint."""
+        return math.exp((math.log(self.lo) + math.log(self.hi)) / 2)
+
+
+def _perron_vector(A: np.ndarray) -> np.ndarray | None:
+    """Eigenvector of the eigenvalue of A with the largest real part, the
+    Perron root of a nonnegative matrix, scaled to a largest entry of 1;
+    None unless it is finite and strictly positive."""
+    lam, V = np.linalg.eig(A)
+    v = V[:, lam.real.argmax()]
+    x = (v / v[np.abs(v).argmax()]).real
+    return x if np.isfinite(x).all() and (x > 0).all() else None
+
+
+def growth_bracket(T: MonotoneMap) -> GrowthBracket | None:
+    """A closed Collatz-Wielandt bracket on the growth rate of a min- or
+    max-linear map, found by policy iteration over row selections.
+
+    Each step takes the Perron vector x of the matrix of the selected rows
+    and brackets the rate by the extremes of log T(x) - log x, evaluated
+    by the conjugate.  The bracket holds for any x > 0 and any
+    order-preserving, positively homogeneous T; once log hi - log lo is at
+    most ``BRACKET_TOL`` it is returned, and every coordinate grows at
+    one rate within it.  Otherwise each coordinate switches to a strictly
+    better row (smaller for min, larger for max) and the step repeats.
+    None when T is explicit, a Perron vector is not strictly positive (a
+    reducible map, such as diag(2, 3)), no row improves on an open
+    bracket, or ``MAX_POLICY_STEPS`` pass.
     """
-    return growth_rates(T, e, [n])[0]
+    if T.kind == "explicitExpr":
+        return None
+    W = _padded_weights(T)
+    if not np.isfinite(W).all():
+        return None
+    step = make_conjugate(T)
+    prefer, better = _PREFER[T.kind]
+    rows = np.arange(T.d)
+    selection = prefer(W.sum(axis=2), axis=1)  # the best rows at x = 1
+    for _ in range(MAX_POLICY_STEPS):
+        x = _perron_vector(W[rows, selection])
+        if x is None:
+            return None
+        log_x = np.log(x)
+        r = step(log_x) - log_x
+        if r.max() - r.min() <= BRACKET_TOL:
+            return GrowthBracket(math.exp(r.min()), math.exp(r.max()))
+        values = W @ x
+        best = prefer(values, axis=1)
+        switch = better(values[rows, best], values[rows, selection])
+        if not switch.any():
+            return None
+        selection = np.where(switch, best, selection)
+    return None
 
 
-def growth_rates(T: MonotoneMap, e, ns: Sequence[int]) -> list[np.ndarray]:
-    """The :func:`growth_rate` estimate at each horizon in ``ns``, all read
-    off one orbit h_t = F(h_{t-1}) of the conjugate F from h_0 = log e."""
+def _checked_start(T: MonotoneMap, e, ns: Sequence[int]) -> np.ndarray:
+    """e as an array, after checking it and the horizons ``ns``."""
+    if not ns:
+        raise ValueError("need at least one horizon n")
     if min(ns) < 1:
         raise ValueError("n must be >= 1")
     e = np.asarray(e, dtype=float)
     if e.shape != (T.d,) or not np.all(e > 0) or not np.isfinite(e).all():
         raise PositivityError("starting vector must be finite and strictly positive")
+    return e
+
+
+def growth_rate(T: MonotoneMap, e, n: int) -> np.ndarray:
+    """Per-coordinate geometric growth rate.
+
+    When :func:`growth_bracket` closes a bracket, every coordinate gets its
+    geometric midpoint, the rate to within ``BRACKET_TOL`` in logs, and
+    e and n are only checked.  Otherwise this is :func:`growth_rates` at
+    the one horizon n: the estimate after n conjugate steps from h = log e.
+    """
+    _checked_start(T, e, [n])
+    bracket = growth_bracket(T)
+    if bracket is None:
+        return growth_rates(T, e, [n])[0]
+    return np.full(T.d, bracket.rate)
+
+
+def growth_rates(T: MonotoneMap, e, ns: Sequence[int]) -> list[np.ndarray]:
+    """The n-step growth estimate at each horizon in ``ns``, all read off
+    one orbit h_t = F(h_{t-1}) of the conjugate F from h_0 = log e.
+
+    The estimate at n is the exponential of the average conjugate
+    displacement over the tail window (n/2, n].  For a positively
+    homogeneous map, which every min- and max-linear map is, the conjugate
+    commutes with additive constants, so the window differences remove the
+    starting-vector offset exactly: the estimate is invariant under
+    rescaling e and converges to the growth rate whenever the time-average
+    limit exists.  An explicit map need not be homogeneous (``f1 + 1`` is
+    not), and then rescaling e can change it.
+    """
+    e = _checked_start(T, e, ns)
     step = make_conjugate(T)
     wanted = {t for n in ns for t in (n // 2, n)}
     orbit = accumulate(range(max(ns)), lambda h, _: step(h), initial=np.log(e))

@@ -290,10 +290,7 @@ def test_growth_runtime_positivity_exits_3(tmp_path, capsys):
     assert main(["growth", str(path), "--n", "4"]) == 3
 
 
-def test_growth_reads_both_estimates_off_one_orbit(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "map.json"
-    path.write_text(json.dumps(
-        {"d": 2, "kind": "maxLinear", "weights": [[[0.5, 0.5]], [[0.3, 0.9]]]}))
+def _count_conjugate_steps(monkeypatch) -> list:
     steps = []
     make_conjugate = pf.make_conjugate
 
@@ -302,10 +299,37 @@ def test_growth_reads_both_estimates_off_one_orbit(tmp_path, capsys, monkeypatch
         return lambda h: steps.append(1) or step(h)
 
     monkeypatch.setattr(pf, "make_conjugate", counting)
+    return steps
+
+
+def test_growth_reads_both_estimates_off_one_orbit(tmp_path, capsys, monkeypatch):
+    # max(0.5 f1 + 0.5 f2) and max(0.3 f1 + 0.9 f2), written out as an
+    # explicit map, which takes the N-step orbit
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(
+        {"d": 2, "kind": "explicitExpr", "exprs": ["0.5*f1 + 0.5*f2", "0.3*f1 + 0.9*f2"]}))
+    steps = _count_conjugate_steps(monkeypatch)
     assert main(["growth", str(path), "--n", "1000"]) == 0
     out = capsys.readouterr().out
     assert len(steps) == 1000
     assert "growth rate:" in out and "cauchy difference vs n/2:" in out
+
+
+def test_growth_prints_the_bracket_of_a_linear_map(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(
+        {"d": 2, "kind": "maxLinear", "weights": [[[0.5, 0.5]], [[0.3, 0.9]]]}))
+    steps = _count_conjugate_steps(monkeypatch)
+    assert main(["growth", str(path), "--n", "1000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(steps) <= pf.MAX_POLICY_STEPS  # policy steps, no 1000-step orbit
+    assert len(lines) == 2 and lines[1].startswith("collatz-wielandt bracket: ")
+    lo, hi = map(float, lines[1].split()[2:])
+    rates = [float(tok) for tok in lines[0].split()[2:]]
+    rho = (1.4 + math.sqrt(1.4 ** 2 - 4 * 0.3)) / 2  # trace 1.4, determinant 0.3
+    assert lo <= rates[0] == rates[1] <= hi
+    assert rates[0] == pytest.approx(rho, rel=1e-12)
+    assert main(["growth", str(path), "--n", "0"]) == 2  # --n is still checked
 
 
 _DEEP_EXPRESSIONS = {

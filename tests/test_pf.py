@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from sgve import bench
+from sgve import bench, pf
 from sgve.errors import GameSpecError, PositivityError
 from sgve.pf import (MonotoneMap, apply_map, check_cone_properties,
-                     explicit_map, growth_rate, growth_rates, log_glasses_apply, log_sum_exp,
-                     make_conjugate, max_linear, min_linear, risk_sensitive_apply)
+                     explicit_map, growth_bracket, growth_rate, growth_rates,
+                     log_glasses_apply, log_sum_exp, make_conjugate, max_linear,
+                     min_linear, risk_sensitive_apply)
 
 
 def identity_map(d: int) -> MonotoneMap:
@@ -151,15 +153,84 @@ def test_growth_rates_match_one_orbit_per_horizon():
             max_linear([rng.uniform(0.1, 1.0, (2, 3)) for _ in range(3)]),
             explicit_map(["0.5*f1 + f2", "f1*f3^0.5", "f3 + 1"]))
     ns = [9, 1, 4, 9, 2]
-    for T in maps:
+    for k, T in enumerate(maps):
         e = rng.uniform(0.5, 2.0, 3)
         step = make_conjugate(T)
+        bracket = growth_bracket(T)
+        assert (bracket is None) == (T.kind == "explicitExpr")
         for n, chi in zip(ns, growth_rates(T, e, ns)):
             h = [np.log(e)]
             for _ in range(n):
                 h.append(step(h[-1]))
             assert np.array_equal(chi, np.exp((h[n] - h[n // 2]) / (n - n // 2)))
-            assert np.array_equal(chi, growth_rate(T, e, n))
+            if bracket is None:
+                assert np.array_equal(chi, growth_rate(T, e, n))
+            else:  # the certified rate, whatever the horizon
+                assert np.array_equal(growth_rate(T, e, n), np.full(3, bracket.rate))
+
+
+def _selection_growth(families, reduce) -> float:
+    """reduce (min or max) over every choice of one row per coordinate of
+    that choice's spectral radius."""
+    return reduce(float(np.abs(np.linalg.eigvals(np.array(rows))).max())
+                  for rows in itertools.product(*families))
+
+
+@pytest.mark.parametrize("maker, reduce", [(min_linear, min), (max_linear, max)])
+def test_certified_rate_matches_selection_enumeration(maker, reduce):
+    rng = np.random.default_rng(12)
+    for _ in range(15):
+        d = int(rng.integers(2, 5))
+        fams = [rng.uniform(0.1, 1.0, (int(rng.integers(1, 4)), d)) for _ in range(d)]
+        T = maker(fams)
+        want = _selection_growth(fams, reduce)
+        lo, hi = growth_bracket(T)
+        assert lo <= hi and math.log(hi) - math.log(lo) <= pf.BRACKET_TOL
+        for e in (np.ones(d), rng.uniform(0.2, 5.0, d)):
+            assert np.abs(growth_rate(T, e, 10_000) / want - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("T", [
+    diag_map(2.0, 3.0),
+    identity_map(3),
+    # coordinate 3 grows at 2, the block {1, 2} at its own Perron root
+    min_linear([[(0.5, 0.5, 0.0), (0.6, 0.4, 0.0)], [(0.2, 0.9, 0.0)],
+                [(0.1, 0.1, 2.0)]]),
+    explicit_map(["0.5*f1 + f2", "f1*f3^0.5", "f3 + 1"]),
+], ids=["diag", "identity", "reducible-block", "explicit"])
+def test_maps_without_a_closed_bracket_fall_back_to_the_orbit(T):
+    assert growth_bracket(T) is None
+    e = np.linspace(0.5, 2.0, T.d)
+    for n in (1, 2, 64):
+        assert np.array_equal(growth_rate(T, e, n), growth_rates(T, e, [n])[0])
+
+
+def test_policy_iteration_keeps_a_row_on_ties():
+    # at the first Perron vector (1, 2) both rows of coordinate 1 give 2;
+    # moving to the first of them as well would lead away from the optimal
+    # selection [[0, 1], [1, 1]], whose Perron root is the golden ratio
+    T = min_linear([[(2.0, 0.0), (0.0, 1.0)], [(0.0, 2.0), (1.0, 1.0)]])
+    assert growth_bracket(T).rate == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-12)
+
+
+def test_policy_iteration_gives_up_without_a_closed_bracket(monkeypatch):
+    T = min_linear([[(0.6, 0.3), (0.7, 0.4)], [(0.2, 0.9)]])
+    assert growth_bracket(T) is not None
+    # a bracket that never closes: policy iteration stops once no row improves
+    monkeypatch.setattr(pf, "BRACKET_TOL", -1.0)
+    assert growth_bracket(T) is None
+    assert np.array_equal(growth_rate(T, np.ones(2), 8), growth_rates(T, np.ones(2), [8])[0])
+    monkeypatch.setattr(pf, "BRACKET_TOL", 1e-12)
+    monkeypatch.setattr(pf, "MAX_POLICY_STEPS", 0)
+    assert growth_bracket(T) is None
+    monkeypatch.setattr(pf, "MAX_POLICY_STEPS", 100)
+    # a weight of JSON's Infinity: no Perron vector, the orbit decides
+    assert growth_bracket(max_linear([[(math.inf, 1.0)], [(1.0, 1.0)]])) is None
+
+
+def test_growth_rates_need_a_horizon():
+    with pytest.raises(ValueError, match="need at least one horizon"):
+        growth_rates(identity_map(2), np.ones(2), [])
 
 
 def test_growth_rate_argument_errors():
