@@ -9,6 +9,7 @@ supports of a previous solution when they still certify.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,15 +159,14 @@ def _exact_row_sums(r: np.ndarray) -> np.ndarray:
     Longer rows can stay one epsilon off: 2-10% of random gamma rows of
     3 to 10 entries do.
     """
-    r = np.clip(r, 0.0, None)
-    r /= r.sum(axis=-1, keepdims=True)
+    r = np.maximum(r, 0.0, order="C")
+    r /= np.add.reduce(r, axis=-1, keepdims=True)
+    rows = r.reshape(-1, r.shape[-1])  # a view: r is a fresh array
     for _ in range(4):
-        resid = 1.0 - r.sum(axis=-1)
+        resid = 1.0 - np.add.reduce(rows, axis=1)
         if not resid.any():
             break
-        idx = r.argmax(axis=-1)[..., None]
-        np.put_along_axis(r, idx,
-                          np.take_along_axis(r, idx, -1) + resid[..., None], -1)
+        rows[np.arange(len(rows)), rows.argmax(axis=1)] += resid
     return r
 
 
@@ -225,8 +225,13 @@ def _bracketed(p: np.ndarray, q: np.ndarray, lower: float,
     return MatrixGameSolution(value, p, q, max(0.5 * upper - 0.5 * lower, 0.0))
 
 
+# the kernel calls ufunc reductions and basic indexing directly, as pf's
+# _REDUCE does: on the tiny games of an operator apply, the Python wrappers
+# of ndarray.min/max/sum, np.clip, np.ix_ and np.flatnonzero cost more than
+# their arithmetic
 def _certify(A: np.ndarray, p: np.ndarray, q: np.ndarray) -> MatrixGameSolution:
-    return _bracketed(p, q, float((p @ A).min()), float((A @ q).max()))
+    return _bracketed(p, q, float(np.minimum.reduce(p @ A)),
+                      float(np.maximum.reduce(A @ q)))
 
 
 def _embedded(A: np.ndarray, rows, cols, p_sub, q_sub) -> MatrixGameSolution:
@@ -268,6 +273,20 @@ def _lp_solve(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
             _exact_row_sums(np.abs(np.asarray(res.ineqlin.marginals, dtype=float))))
 
 
+@functools.lru_cache(maxsize=8)
+def _bordered_system(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The borders of :func:`_equalizing_mixes`' two stacked systems of
+    size k + 1, with a zero k x k block, and their right-hand side, both
+    read-only.  At most eight sizes are kept, 2(k + 2)(k + 1) floats each."""
+    M = np.zeros((2, k + 1, k + 1))
+    M[:, :k, k] = -1.0
+    M[:, k, :k] = 1.0
+    rhs = np.zeros((2, k + 1, 1))
+    rhs[:, k] = 1.0
+    M.flags.writeable = rhs.flags.writeable = False
+    return M, rhs
+
+
 def _equalizing_mixes(B: np.ndarray) -> np.ndarray | None:
     """Row and column mixes equalizing the square kernel B, as the rows of
     a (2, k) array normalized by :func:`_exact_row_sums`, or None.
@@ -278,18 +297,15 @@ def _equalizing_mixes(B: np.ndarray) -> np.ndarray | None:
     together.
     """
     k = B.shape[0]
-    M = np.zeros((2, k + 1, k + 1))
+    bordered, rhs = _bordered_system(k)
+    M = bordered.copy()
     M[0, :k, :k] = B.T
     M[1, :k, :k] = B
-    M[:, :k, k] = -1.0
-    M[:, k, :k] = 1.0
-    rhs = np.zeros((2, k + 1, 1))
-    rhs[:, k] = 1.0
     try:
         mixes = np.linalg.solve(M, rhs)[:, :k, 0]
     except np.linalg.LinAlgError:
         return None
-    if mixes.min() < -1e-10:
+    if np.minimum.reduce(mixes, axis=None) < -1e-10:
         return None
     return _exact_row_sums(mixes)
 
@@ -304,8 +320,8 @@ def _support_solve(A: np.ndarray,
     ``_SUPPORT_THRESHOLD``, the longer side cut to its k heaviest (k the
     length of the shorter side), each in ascending order.
     """
-    rows = np.flatnonzero(sol.row_strategy > _SUPPORT_THRESHOLD)
-    cols = np.flatnonzero(sol.col_strategy > _SUPPORT_THRESHOLD)
+    rows = (sol.row_strategy > _SUPPORT_THRESHOLD).nonzero()[0]
+    cols = (sol.col_strategy > _SUPPORT_THRESHOLD).nonzero()[0]
     k = min(len(rows), len(cols))
     if k == 0:
         return None
@@ -315,7 +331,7 @@ def _support_solve(A: np.ndarray,
     if len(cols) > k:
         cols = cols[np.argsort(sol.col_strategy[cols])[::-1][:k]]
         cols.sort()
-    mixes = _equalizing_mixes(A[np.ix_(rows, cols)])
+    mixes = _equalizing_mixes(A[rows[:, None], cols])
     return None if mixes is None else _embedded(A, rows, cols, *mixes)
 
 
@@ -395,10 +411,10 @@ def _double_oracle(A: np.ndarray, start: MatrixGameSolution):
     restricted solve gives up, when neither best response is new, or when
     a side passes ``_DO_MAX_SIDE``.
     """
-    rows = np.flatnonzero(start.row_strategy > _SUPPORT_THRESHOLD)
-    cols = np.flatnonzero(start.col_strategy > _SUPPORT_THRESHOLD)
+    rows = (start.row_strategy > _SUPPORT_THRESHOLD).nonzero()[0]
+    cols = (start.col_strategy > _SUPPORT_THRESHOLD).nonzero()[0]
     while True:
-        mixes = _tableau_solve(A[np.ix_(rows, cols)])
+        mixes = _tableau_solve(A[rows[:, None], cols])
         if mixes is None:
             return
         sol = _embedded(A, rows, cols, *mixes)
@@ -454,7 +470,7 @@ def solve_matrix_game(A, tol: float = 1e-9,
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise MatrixGameError("payoff matrix must be 2-D and nonempty")
-    if not np.isfinite(A).all():
+    if not np.logical_and.reduce(np.isfinite(A), axis=None):
         raise MatrixGameError("payoff matrix contains nonfinite entries")
     if not tol > 0:
         raise MatrixGameError("tol must be positive")
@@ -466,14 +482,16 @@ def solve_matrix_game(A, tol: float = 1e-9,
 
     # the pure pair, maximin row against minimax column, opens the stream:
     # its bracket is the row minimum and column maximum it is built from
-    row_min = A.min(axis=1)
-    col_max = A.max(axis=0)
+    row_min = np.minimum.reduce(A, axis=1)
+    col_max = np.maximum.reduce(A, axis=0)
     i, j = row_min.argmax(), col_max.argmin()
     p = np.zeros(A.shape[0])
     p[i] = 1.0
     q = np.zeros(A.shape[1])
     q[j] = 1.0
     best = _bracketed(p, q, float(row_min[i]), float(col_max[j]))
+    if best.duality_gap <= tol:
+        return best
     batches = _candidate_batches(A, hint, best)
     while best.duality_gap > tol:
         found = next(batches, None)

@@ -55,11 +55,12 @@ class MonotoneMap:
     """Self-map of the interior of the nonnegative cone of R^d.
 
     ``weights[i]`` holds the finite family of weight vectors of coordinate
-    i for the min/max-linear kinds; ``exprs[i]`` holds an expression in
-    f1..fd for the explicit kind.  Order preservation and subhomogeneity
-    hold by construction for the linear kinds.  Nothing checks them for
-    explicit ones, on the growth path or elsewhere: a caller who needs
-    them tests the map with :func:`check_cone_properties`.
+    i for the min/max-linear kinds, each finite, nonnegative and not all
+    zero; ``exprs[i]`` holds an expression in f1..fd for the explicit
+    kind.  Order preservation and subhomogeneity hold by construction for
+    the linear kinds.  Nothing checks them for explicit ones, on the
+    growth path or elsewhere: a caller who needs them tests the map with
+    :func:`check_cone_properties`.
     """
     d: int
     kind: str
@@ -81,6 +82,8 @@ class MonotoneMap:
             for p in fam:
                 if len(p) != self.d:
                     raise GameSpecError(f"weight vector of wrong length in coordinate {i}")
+                if not all(map(math.isfinite, p)):
+                    raise GameSpecError(f"non-finite weight in coordinate {i}")
                 if min(p) < 0:
                     raise GameSpecError(f"negative weight in coordinate {i}")
                 if max(p) <= 0:
@@ -242,8 +245,6 @@ def growth_bracket(T: MonotoneMap) -> GrowthBracket | None:
     if T.kind == "explicitExpr":
         return None
     W = _padded_weights(T)
-    if not np.isfinite(W).all():
-        return None
     step = make_conjugate(T)
     prefer, better = _PREFER[T.kind]
     rows = np.arange(T.d)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,19 @@ def test_growth_malformed_map_exits_2(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["growth", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_growth_non_finite_weight_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(  # JSON's Infinity and NaN
+        {"d": 2, "kind": "maxLinear", "weights": [[[bad, 1.0]], [[1.0, 1.0]]]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["growth", str(path), "--n", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == "" and caught == []
 
 
 def test_growth_missing_map_exits_2(tmp_path, capsys):

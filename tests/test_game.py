@@ -637,6 +637,76 @@ def test_tableau_pivot_cap_falls_through_to_lp(monkeypatch):
         assert abs(sol.value - expected) <= 2 * TOL
 
 
+def test_bland_rule_leaves_the_first_basic_variable(monkeypatch):
+    # with no Dantzig budget Bland's rule picks every pivot.  On this
+    # degenerate game the second pivot (column 1 entering) ties all three
+    # rows at ratio 1/2; the rule drops the tied row whose basic variable
+    # comes first, column 0's, and ends at row mix (0, 0, 1).  The plain
+    # minimum ratio drops the first row's slack and ends at (1/2, 0, 1/2)
+    A = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    monkeypatch.setattr(game_module, "_TABLEAU_PIVOTS", 0)
+    p, q = game_module._tableau_solve(A)
+    assert p.tolist() == [0.0, 0.0, 1.0]
+    assert q.tolist() == [0.0, 1.0]
+
+
+def test_kernel_leaves_its_inputs_alone(monkeypatch):
+    # A and the hint's strategies are bitwise unchanged on every exit of
+    # the stream: the pure pair, the hint's support solve, double oracle,
+    # the whole-matrix tableau and the HiGHS LP
+    calls = _log_sources(monkeypatch)
+    shapes = []
+    real = game_module._tableau_solve
+
+    def tableau_solve(B):
+        shapes.append(B.shape)
+        return real(B)
+
+    def solve(A, hint=None):
+        inputs = [A] if hint is None else [A, hint.row_strategy, hint.col_strategy]
+        before = [x.tobytes() for x in inputs]
+        calls.clear()
+        shapes.clear()
+        sol = solve_matrix_game(A, TOL, hint=hint)
+        assert [x.tobytes() for x in inputs] == before
+        assert sol.duality_gap <= TOL
+        assert certificate_holds(A, sol)
+        return sol
+
+    mixed = MatrixGameSolution(1.5, np.array([0.5, 0.5]), np.array([0.5, 0.5]), 0.0)
+    assert solve(np.array([[1.0, 2.0], [0.0, 3.0]]), mixed).duality_gap == 0.0
+    solve(_MIXED + 1e-3, solve(_MIXED))
+    assert calls == []  # the hint certified
+    stale = MatrixGameSolution(0.0, np.array([1.0, 0.0, 0.0]),
+                               np.array([1.0, 0.0, 0.0]), 0.0)
+    solve(_MIXED.copy(), stale)
+    assert calls == ["tableau"]
+    monkeypatch.setattr(game_module, "_tableau_solve", tableau_solve)
+    grid = parametric.mckinsey_payoff_matrix(0.55, 201)
+    solve(grid, solve_matrix_game(parametric.mckinsey_payoff_matrix(0.5, 201), TOL))
+    assert shapes and grid.shape not in shapes  # double oracle certified
+    calls = _log_sources(monkeypatch, failing=("tableau",))
+    solve(_MIXED.copy(), stale)
+    assert calls == ["tableau", "lp"]
+
+
+def test_successive_hinted_solves_of_one_support_size_match_bruteforce(monkeypatch):
+    # two fully mixed 3x3 games, each certified by its hint's support solve
+    # on the same 3x3 support: neither solve may see the other's system
+    calls = _log_sources(monkeypatch)
+    rng = np.random.default_rng(53)
+    games = [_MIXED, _MIXED.T * -2.0 + 0.5]
+    hints = [solve_matrix_game(A + rng.uniform(-1e-3, 1e-3, A.shape), TOL)
+             for A in games]
+    calls.clear()
+    for A, hint in zip(games, hints):
+        sol = solve_matrix_game(A, TOL, hint=hint)
+        assert (sol.row_strategy > 0).all() and (sol.col_strategy > 0).all()
+        assert abs(sol.value - matrix_game_bruteforce(A)) <= 2 * TOL
+        assert sol.duality_gap <= TOL
+    assert calls == []
+
+
 @pytest.mark.parametrize("z, points", [(0.95, 33), (0.7999999999999999, 27),
                                        (0.39999999999999997, 28)])
 def test_mckinsey_grids_certify_at_tight_tol(monkeypatch, z, points):

@@ -224,8 +224,10 @@ def test_policy_iteration_gives_up_without_a_closed_bracket(monkeypatch):
     monkeypatch.setattr(pf, "MAX_POLICY_STEPS", 0)
     assert growth_bracket(T) is None
     monkeypatch.setattr(pf, "MAX_POLICY_STEPS", 100)
-    # a weight of JSON's Infinity: no Perron vector, the orbit decides
-    assert growth_bracket(max_linear([[(math.inf, 1.0)], [(1.0, 1.0)]])) is None
+    # a weight of JSON's Infinity or NaN never reaches the policy route
+    for bad in (math.inf, math.nan):
+        with pytest.raises(GameSpecError, match="non-finite weight"):
+            max_linear([[(bad, 1.0)], [(1.0, 1.0)]])
 
 
 def test_growth_rates_need_a_horizon():
