@@ -22,7 +22,7 @@ raises :class:`PositivityError` at n = 10000.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -66,6 +66,9 @@ class MonotoneMap:
     kind: str
     weights: tuple[tuple[tuple[float, ...], ...], ...] | None = None
     exprs: tuple[ex.Expr, ...] | None = None
+    # linear kinds: the families as one read-only (d, F, d) array, F the largest
+    # family size; smaller ones repeat their first vector, moving no min or max
+    _padded: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -90,17 +93,25 @@ class MonotoneMap:
                     raise GameSpecError(
                         f"all-zero weight vector in coordinate {i}: "
                         "map would not preserve positivity")
+        F = max(map(len, self.weights))
+        W = np.array([fam + fam[:1] * (F - len(fam)) for fam in self.weights], dtype=float)
+        W.flags.writeable = False
+        object.__setattr__(self, "_padded", W)
+
+
+def _linear_map(kind: str, weights) -> MonotoneMap:
+    w = tuple(tuple(tuple(float(x) for x in p) for p in fam) for fam in weights)
+    return MonotoneMap(d=len(w), kind=kind, weights=w)
 
 
 def min_linear(weights) -> MonotoneMap:
     """Map whose coordinate i is the minimum of <p, f> over its family."""
-    w = tuple(tuple(tuple(float(x) for x in p) for p in fam) for fam in weights)
-    return MonotoneMap(d=len(w), kind="minLinear", weights=w)
+    return _linear_map("minLinear", weights)
 
 
 def max_linear(weights) -> MonotoneMap:
-    w = tuple(tuple(tuple(float(x) for x in p) for p in fam) for fam in weights)
-    return MonotoneMap(d=len(w), kind="maxLinear", weights=w)
+    """Map whose coordinate i is the maximum of <p, f> over its family."""
+    return _linear_map("maxLinear", weights)
 
 
 def explicit_map(expressions: Sequence[str | ex.Expr]) -> MonotoneMap:
@@ -116,8 +127,7 @@ def _coordinate_values(T: MonotoneMap, f: np.ndarray) -> np.ndarray:
     if T.kind == "explicitExpr":
         bind = {f"f{i + 1}": float(f[i]) for i in range(T.d)}
         return np.array([ex.evaluate(e, bind) for e in T.exprs])
-    reduce = _REDUCE[T.kind]
-    return np.array([reduce(np.asarray(fam, dtype=float) @ f) for fam in T.weights])
+    return _REDUCE[T.kind](T._padded @ f, axis=1)
 
 
 def apply_map(T: MonotoneMap, f) -> np.ndarray:
@@ -165,27 +175,17 @@ def log_sum_exp(a) -> np.ndarray | float:
     return m + np.where(np.isfinite(m), s, 0.0)
 
 
-def _padded_weights(T: MonotoneMap) -> np.ndarray:
-    """The weight families as one (d, F, d) array, F the largest family
-    size; smaller families repeat their first vector."""
-    F = max(len(fam) for fam in T.weights)
-    return np.array([fam + fam[:1] * (F - len(fam)) for fam in T.weights])
-
-
 def make_conjugate(T: MonotoneMap):
     """Log-coordinate application h -> log(T(exp(h))) as a callable.
 
-    For the linear kinds the log weights are precomputed once as one
-    (d, F, d) tensor, F the largest family size; smaller families are
-    padded by repeating their first vector, which changes no min or max.
-    The evaluation is one stable log-sum-exp and a reduction over the
-    family axis, so iterating never overflows; explicit maps fall back to
-    the literal route.
+    For the linear kinds this is one stable log-sum-exp over the log of
+    the map's padded weights and a reduction over the family axis, so
+    iterating never overflows; explicit maps take the literal route.
     """
     if T.kind == "explicitExpr":
         return lambda h: log_glasses_apply(T, h)
     with np.errstate(divide="ignore"):
-        log_weights = np.log(_padded_weights(T))
+        log_weights = np.log(T._padded)
     reduce = _REDUCE[T.kind]
     return lambda h: reduce(log_sum_exp(log_weights + h), axis=1)
 
@@ -244,7 +244,7 @@ def growth_bracket(T: MonotoneMap) -> GrowthBracket | None:
     """
     if T.kind == "explicitExpr":
         return None
-    W = _padded_weights(T)
+    W = T._padded
     step = make_conjugate(T)
     prefer, better = _PREFER[T.kind]
     rows = np.arange(T.d)

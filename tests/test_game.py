@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from sgve import bench, expr, parametric
 from sgve import game as game_module
 from sgve.errors import EvalDomainError, GameSpecError, MatrixGameError
-from sgve.game import (GameSpec, MatrixGameSolution, discretize,
-                       matrix_game_bruteforce, solve_matrix_game, uniform_grid)
+from sgve.game import (DiscretizedGame, GameSpec, MatrixGameSolution,
+                       discretize, matrix_game_bruteforce, solve_matrix_game,
+                       uniform_grid)
 from sgve.gamefile import game_spec_from_document
 
 TOL = 1e-9
@@ -136,6 +138,44 @@ def test_solver_input_errors():
 # ---------------------------------------------------------------------------
 # discretization
 # ---------------------------------------------------------------------------
+
+_X = expr.parse("x", ["x", "y"])
+_ONE = expr.parse("1", ["x", "y"])
+
+
+def _one_state_spec(**changes) -> GameSpec:
+    return GameSpec(**{"states": 1, "x_box": ((0.0, 1.0),), "y_box": ((0.0, 1.0),),
+                       "payoff": (_X,), "transition": ((_ONE,),), **changes})
+
+
+def _one_state_game(g, rho) -> DiscretizedGame:
+    grid = np.zeros((2, 1))
+    return DiscretizedGame(states=1, grids_x=(grid,), grids_y=(grid,),
+                           g=(np.asarray(g, dtype=float),),
+                           rho=(np.asarray(rho, dtype=float),))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: _one_state_spec(states=0), "state count must be >= 1"),
+    (lambda: _one_state_spec(payoff=(_X, _X)), "one payoff expression per state"),
+    (lambda: _one_state_spec(transition=()), "d x d expression table"),
+    (lambda: _one_state_spec(transition=((_ONE, _ONE),)), "d x d expression table"),
+    (lambda: _one_state_spec(controller=("p1", "p2")), "controller tags must cover"),
+    (lambda: _one_state_spec(x_box=((1.0, 1.0),)), r"bad box bounds \(1.0, 1.0\)"),
+    (lambda: _one_state_spec(y_box=((0.0, math.inf),)), r"bad box bounds \(0.0, inf\)"),
+    (lambda: _one_state_game(np.zeros((2, 2)), np.ones((2, 1, 1))),
+     "tensor shape mismatch in state 0"),
+], ids=["no-states", "payoff-count", "transition-rows", "transition-columns",
+        "controller-count", "empty-box", "infinite-box", "tensor-shapes"])
+def test_game_input_checks(make, match):
+    with pytest.raises(GameSpecError, match=match):
+        make()
+
+
+def test_payoff_bound_is_the_largest_absolute_payoff():
+    game = _one_state_game([[1.0, -3.5], [2.0, 0.0]], np.ones((2, 2, 1)))
+    assert game.payoff_bound() == 3.5
+
 
 def test_uniform_grid_endpoints():
     pts = uniform_grid(((0.0, 1.0),), 2)
@@ -585,6 +625,38 @@ def test_games_on_both_sides_of_the_crossover_certify_without_lp(monkeypatch):
         assert certificate_holds(A, sol)
         assert abs(sol.value - value) <= 2 * TOL
     assert set(rounds) == {(51, 51), (80, 80), (70, 60)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_double_oracle_stops_when_no_best_response_is_new(monkeypatch, seed):
+    # the optimum of this 60x60 game sits in its dominant k x k block (rows
+    # past k lowered, columns past k raised).  Double oracle grows from the
+    # pure pair inside the block until neither best response is new; at tol
+    # 1e-300 nothing certifies a gap of ~1e-16, so the whole-matrix tableau
+    # and the LP follow and the stream raises
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 9))
+    A = rng.uniform(-1, 1, (60, 60))
+    A[k:] -= 10.0
+    A[:, k:] += 10.0
+    calls = _log_sources(monkeypatch)
+    rounds = []
+    real = game_module._double_oracle
+
+    def double_oracle(A, start):
+        for batch in real(A, start):
+            rounds.append(batch)
+            yield batch
+
+    monkeypatch.setattr(game_module, "_double_oracle", double_oracle)
+    with pytest.raises(MatrixGameError) as err:
+        solve_matrix_game(A, 1e-300)
+    # one restricted solve per round, so none gave up; each round adds at
+    # most one action a side to the 1x1 start, so the size cap did not end
+    # it either
+    assert calls == ["tableau"] * len(rounds) + ["tableau", "lp"]
+    assert len(rounds) < game_module._DO_MAX_SIDE
+    assert math.isfinite(err.value.best_gap) and 0 < err.value.best_gap < 1e-12
 
 
 def test_whole_tableau_certifies_the_201_point_grids(monkeypatch):

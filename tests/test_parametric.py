@@ -23,6 +23,20 @@ def sep_xy() -> SeparableSpec:
         x_box=UNIT, y_box=UNIT)
 
 
+_ONE = expr.parse("1", [])
+
+
+@pytest.mark.parametrize("a, b, m, match", [
+    ((), (_ONE,), ((),), "basis sizes must be >= 1"),
+    ((_ONE,), (), ((),), "basis sizes must be >= 1"),
+    ((_ONE,), (_ONE,), ((_ONE,), (_ONE,)), "coefficient table must be I x J"),
+    ((_ONE,), (_ONE,), ((_ONE, _ONE),), "coefficient table must be I x J"),
+], ids=["no-a", "no-b", "m-rows", "m-columns"])
+def test_separable_spec_input_checks(a, b, m, match):
+    with pytest.raises(GameSpecError, match=match):
+        SeparableSpec(a=a, b=b, m=m, x_box=UNIT, y_box=UNIT)
+
+
 def test_separable_value_xy():
     # the y = 0 column dominates for the minimizer
     assert abs(separable_value(sep_xy(), {}, 9, TOL)) <= 2 * TOL

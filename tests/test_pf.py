@@ -101,15 +101,59 @@ def test_risk_sensitive_point_mass_and_uniform():
 
 
 def test_all_zero_weight_vector_rejected():
-    with pytest.raises(GameSpecError):
-        min_linear([[(0.0, 0.0)]])
-    with pytest.raises(GameSpecError):
+    with pytest.raises(GameSpecError, match="all-zero weight vector in coordinate 0"):
+        min_linear([[(1.0, 1.0), (0.0, 0.0)], [(1.0, 0.0)]])
+    with pytest.raises(GameSpecError, match="all-zero weight vector in coordinate 1"):
         risk_sensitive_apply([[(1.0, 0.0)], [(0.0, 0.0)]], [0.0, 0.0])
 
 
 def test_negative_weight_rejected():
-    with pytest.raises(GameSpecError):
-        max_linear([[(1.0, -0.1)]])
+    with pytest.raises(GameSpecError, match="negative weight in coordinate 0"):
+        max_linear([[(1.0, -0.1)], [(0.5, 0.5)]])
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: MonotoneMap(d=1, kind="linear", weights=(((1.0,),),)),
+     GameSpecError, "unknown map kind 'linear'"),
+    (lambda: MonotoneMap(d=2, kind="explicitExpr", exprs=explicit_map(["f1"]).exprs),
+     GameSpecError, "one expression per coordinate"),
+    (lambda: MonotoneMap(d=1, kind="explicitExpr"),
+     GameSpecError, "one expression per coordinate"),
+    (lambda: MonotoneMap(d=2, kind="minLinear", weights=(((1.0, 1.0),),)),
+     GameSpecError, "one weight family per coordinate"),
+    (lambda: MonotoneMap(d=1, kind="maxLinear"),
+     GameSpecError, "one weight family per coordinate"),
+    (lambda: max_linear([[], [(0.5, 0.5)]]),
+     GameSpecError, "coordinate 0 has no weight vectors"),
+    (lambda: max_linear([[(1.0,)], [(0.5, 0.5)]]),
+     GameSpecError, "weight vector of wrong length in coordinate 0"),
+    (lambda: risk_sensitive_apply([[(1.0, 0.0)], [(0.5, 0.5)]], [0.0]),
+     GameSpecError, "argument must have length 2"),
+    (lambda: check_cone_properties(identity_map(2), [((1.0, 1.0), (2.0, 2.0), 0.5)]),
+     ValueError, "subhomogeneity scalars must be >= 1"),
+], ids=["unknown-kind", "expr-count", "no-exprs", "family-count", "no-weights",
+        "empty-family", "short-vector", "risk-sensitive-length", "scalar-below-one"])
+def test_map_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_weight_array_leaves_equality_hash_and_repr_alone():
+    # the padded array is built at construction from the weights alone, so
+    # maps built from equal weights in other containers compare and hash
+    # equal, and the repr shows the weights as it always has
+    fams = [[(1.0, 2.0), (0.5, 0.0), (0.0, 3.0)], [(1.0, 1.0), (2.0, 0.5)]]
+    T = max_linear(fams)
+    U = max_linear([[list(p) for p in fam] for fam in fams])
+    assert T == U and hash(T) == hash(U)
+    assert T != min_linear(fams)
+    assert repr(T) == ("MonotoneMap(d=2, kind='maxLinear', weights=(((1.0, 2.0), "
+                       "(0.5, 0.0), (0.0, 3.0)), ((1.0, 1.0), (2.0, 0.5))), exprs=None)")
+    # the smaller family repeats its first vector; the array is read-only
+    assert T._padded.tolist() == [[[1.0, 2.0], [0.5, 0.0], [0.0, 3.0]],
+                                  [[1.0, 1.0], [2.0, 0.5], [1.0, 1.0]]]
+    assert not T._padded.flags.writeable
+    assert explicit_map(["f1"])._padded is None
 
 
 def test_growth_rate_diagonal_exact_any_start():

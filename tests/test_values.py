@@ -386,6 +386,44 @@ def test_simulate_invalid_distribution():
         simulate(game, bad, cols, n=3, start_state=0, seed=0, trials=1)
 
 
+def _simulate(game: DiscretizedGame, **changes):
+    rows, cols = uniform_policies(game)
+    return simulate(game, **{"row_policy": rows, "col_policy": cols, "n": 3,
+                                "start_state": 0, "seed": 0, "trials": 2, **changes})
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda op: value_iteration(op, 0), ValueError, "n must be >= 1"),
+    (lambda op: n_stage_series(op, []), ValueError, "horizons must be positive"),
+    (lambda op: n_stage_series(op, [2, 0]), ValueError, "horizons must be positive"),
+    (lambda op: operator_distance(op, constant_operator(3, 0.5)),
+     GameSpecError, "operators must share the state space"),
+    (lambda op: iterate_deviation_check(op, op, 0), ValueError, "n must be >= 1"),
+    (lambda op: _simulate(op.game, row_policy=[]),
+     GameSpecError, "row policy must cover every state"),
+    (lambda op: _simulate(op.game, trials=0), ValueError, "trials and n must be >= 1"),
+    (lambda op: _simulate(op.game, n=0), ValueError, "trials and n must be >= 1"),
+    (lambda op: _simulate(op.game, seed=-1), ValueError, "seed must be nonnegative"),
+    (lambda op: _simulate(op.game, start_state=2),
+     GameSpecError, "start state 2 out of range"),
+    (lambda op: _simulate(op.game, start_state=-1),
+     GameSpecError, "start state -1 out of range"),
+], ids=["value-iteration-n", "no-horizons", "zero-horizon", "state-spaces",
+        "deviation-n", "policy-states", "no-trials", "simulate-n", "negative-seed",
+        "start-state-high", "start-state-low"])
+def test_values_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call(constant_operator(2, 0.5))
+
+
+def test_simulate_single_trial_has_zero_halfwidth():
+    # one trial has no spread to estimate; two trials of the same game do
+    game = bench.random_discretized_game(np.random.default_rng(40), 3)
+    one = _simulate(game, n=10, trials=1)
+    assert one.trials == 1 and one.halfwidth == 0.0
+    assert _simulate(game, n=10).halfwidth > 0.0
+
+
 def test_simulate_agrees_with_chain_oracle():
     # frozen seeds: the halfwidth is a 95% normal radius, so at least 95%
     # of these reproducible runs must cover the exact chain value
