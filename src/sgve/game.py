@@ -30,7 +30,7 @@ __all__ = [
 # formula rather than float noise
 ROW_SUM_TOLERANCE = 1e-6
 _NEGATIVE_CLAMP = 1e-12
-# strategy weights above this count as the support _support_solve equalizes
+# _supports: the rows and the columns a solution weights above this, ascending
 _SUPPORT_THRESHOLD = 1e-9
 
 
@@ -310,27 +310,28 @@ def _equalizing_mixes(B: np.ndarray) -> np.ndarray | None:
     return _exact_row_sums(mixes)
 
 
+def _supports(sol: MatrixGameSolution) -> list[np.ndarray]:
+    return [(sol.row_strategy > _SUPPORT_THRESHOLD).nonzero()[0],
+            (sol.col_strategy > _SUPPORT_THRESHOLD).nonzero()[0]]
+
+
 def _support_solve(A: np.ndarray,
                    sol: MatrixGameSolution) -> MatrixGameSolution | None:
     """Equalizing strategies on the square support pair of ``sol``,
     certified against the full matrix; None if the support is empty or its
     equalization system has no nonnegative solution.
 
-    The support pair is the rows and columns whose weight exceeds
-    ``_SUPPORT_THRESHOLD``, the longer side cut to its k heaviest (k the
-    length of the shorter side), each in ascending order.
+    The support pair is :func:`_supports`, the longer side cut to its k
+    heaviest (k the length of the shorter side), in ascending order.
     """
-    rows = (sol.row_strategy > _SUPPORT_THRESHOLD).nonzero()[0]
-    cols = (sol.col_strategy > _SUPPORT_THRESHOLD).nonzero()[0]
-    k = min(len(rows), len(cols))
+    sides = _supports(sol)
+    k = min(len(sides[0]), len(sides[1]))
     if k == 0:
         return None
-    if len(rows) > k:
-        rows = rows[np.argsort(sol.row_strategy[rows])[::-1][:k]]
-        rows.sort()
-    if len(cols) > k:
-        cols = cols[np.argsort(sol.col_strategy[cols])[::-1][:k]]
-        cols.sort()
+    for s, w in enumerate((sol.row_strategy, sol.col_strategy)):
+        if len(sides[s]) > k:
+            sides[s] = np.sort(sides[s][np.argsort(w[sides[s]])[-k:]])
+    rows, cols = sides
     mixes = _equalizing_mixes(A[rows[:, None], cols])
     return None if mixes is None else _embedded(A, rows, cols, *mixes)
 
@@ -401,24 +402,22 @@ def _tableau_solve(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _double_oracle(A: np.ndarray, start: MatrixGameSolution):
-    """Candidate batches of double oracle (McMahan, Gordon & Blum 2003) on
-    A, from the supports of ``start``.
+    """The solutions of double oracle (McMahan, Gordon & Blum 2003) on A,
+    from the supports of ``start``, one per round.
 
     Each round solves the game restricted to the current rows and columns
     by :func:`_tableau_solve`, yields its strategies, embedded and
-    certified against A, with the equalizing strategies on their supports,
-    and adds each player's best response against A.  It ends when the
-    restricted solve gives up, when neither best response is new, or when
-    a side passes ``_DO_MAX_SIDE``.
+    certified against A, and adds each player's best response against A.
+    It ends when the restricted solve gives up, when neither best response
+    is new, or when a side passes ``_DO_MAX_SIDE``.
     """
-    rows = (start.row_strategy > _SUPPORT_THRESHOLD).nonzero()[0]
-    cols = (start.col_strategy > _SUPPORT_THRESHOLD).nonzero()[0]
+    rows, cols = _supports(start)
     while True:
         mixes = _tableau_solve(A[rows[:, None], cols])
         if mixes is None:
             return
         sol = _embedded(A, rows, cols, *mixes)
-        yield [sol, _support_solve(A, sol)]
+        yield sol
         i, j = (A @ sol.col_strategy).argmax(), (sol.row_strategy @ A).argmin()
         if i in rows and j in cols:
             return
@@ -434,14 +433,14 @@ def _candidate_batches(A: np.ndarray, hint: MatrixGameSolution | None,
     order, one batch of candidates per step."""
     if hint is not None:
         yield [_support_solve(A, hint)]
-    if min(A.shape) > _DO_CROSSOVER:
-        yield from _double_oracle(A, pure if hint is None else hint)
-    for solve in (_tableau_solve, _lp_solve):
-        # degenerate games can leave a basic solution with a gap far above
-        # machine precision; the support solve often repairs it
-        mixes = solve(A)
-        sol = None if mixes is None else _certify(A, *mixes)
-        yield [] if sol is None else [sol, _support_solve(A, sol)]
+    oracle = (_double_oracle(A, pure if hint is None else hint)
+              if min(A.shape) > _DO_CROSSOVER else ())
+    mixes = (solve(A) for solve in (_tableau_solve, _lp_solve))
+    whole = (_certify(A, *m) for m in mixes if m is not None)
+    # degenerate games can leave a basic solution with a gap far above
+    # machine precision; the support solve often repairs it
+    for sol in itertools.chain(oracle, whole):
+        yield [sol, _support_solve(A, sol)]
 
 
 def solve_matrix_game(A, tol: float = 1e-9,

@@ -2,18 +2,15 @@
 
 For a value vector f, component k of the operator is the mixed value of the
 matrix game ``A_k[i, j] = g[k][i, j] + sum_k' rho[k][i, j, k'] f[k']``,
-solved and gap-certified by :func:`solve_matrix_game` in every form.
-Repeated applications pass the per-state solutions of one apply as the hints
-of the next: a state is solved by an exact pure saddle, else by the
-equalizing strategies on its hinted supports if they certify within ``tol``,
-else, when both players have more than 50 actions, by double oracle grown
-from those supports, else by the numpy simplex on the whole matrix, and last
-by one HiGHS LP.  The hints are passed explicitly; the operator holds no
-state.  The tagged forms (Markov decision processes, perfect information,
-switching control) only declare the game class, checked against the
-controller tags; they select no other formula.  Where the untagged player of
-a state is a dummy, the kernel's exact saddle check returns the pure max (or
-min) with gap 0; switching control still needs mixed strategies.
+solved in every form by :func:`solve_matrix_game`, whose docstring states
+its sources, with a duality gap certified within ``tol``.  Repeated
+applications pass the per-state solutions of one apply as the kernel hints
+of the next, explicitly: the operator holds no state.  The tagged forms
+(Markov decision processes, perfect information, switching control) only
+declare the game class, checked against the controller tags; they select
+no other formula.  Where the untagged player of a state is a dummy, the
+kernel's exact saddle check returns the pure max (or min) with gap 0;
+switching control still needs mixed strategies.
 
 The operator is monotone, commutes with adding a constant to every
 component, and is nonexpansive in the sup norm; :func:`check_properties`
@@ -78,9 +75,9 @@ class ShapleyOperator:
         solutions.
 
         ``hints``, if given, holds one previous solution per state (the
-        solutions this method returned for a nearby vector): a state whose
-        hinted supports still certify within ``tol`` skips its LP.  The
-        returned solutions are the hints of the next call.
+        solutions this method returned for a nearby vector), each the hint
+        of its state's :func:`solve_matrix_game`.  The returned solutions
+        are the hints of the next call.
         """
         f = self._check_input(f)
         if hints is None:

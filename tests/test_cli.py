@@ -396,6 +396,21 @@ def test_solve_iteration_budget_exits_3(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_grid_beyond_memory_exits_2(monkeypatch, capsys):
+    # a stand-in for the grid of `--resolution 1000000`, which numpy cannot
+    # allocate; a real oversized grid could fit virtual memory and not RAM
+    def discretize(spec, resolution):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000, 1000000) and data type float64")
+
+    monkeypatch.setattr(sgve.cli, "discretize", discretize)
+    argv = ["solve", "bench:exshap", "--lambda", "0.5", "--resolution", "1000000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 7.28 TiB for an array with shape "
+        "(1000000, 1000000) and data type float64\n")
+
+
 def test_bench_suite_runs(capsys):
     code = main(["bench", "--suite", "mckinsey"])
     out = capsys.readouterr().out

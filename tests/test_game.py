@@ -698,8 +698,8 @@ def test_tableau_pivot_cap_falls_through_to_lp(monkeypatch):
     bland = game_module._tableau_solve(A)
     assert not all(np.array_equal(d, b) for d, b in zip(dantzig, bland))
     calls = _log_sources(monkeypatch)
-    for cap, sources in ((game_module._TABLEAU_MAX_PIVOTS, ["tableau"]),
-                         (0, ["tableau", "lp"])):
+    default = game_module._TABLEAU_MAX_PIVOTS
+    for cap, sources in ((default, ["tableau"]), (0, ["tableau", "lp"])):
         monkeypatch.setattr(game_module, "_TABLEAU_MAX_PIVOTS", cap)
         calls.clear()
         sol = solve_matrix_game(A, TOL)
@@ -707,6 +707,42 @@ def test_tableau_pivot_cap_falls_through_to_lp(monkeypatch):
         assert sol.duality_gap <= TOL
         assert certificate_holds(A, sol)
         assert abs(sol.value - expected) <= 2 * TOL
+    # above the crossover, with no pivots allowed, double oracle's first
+    # restricted solve gives up, then the whole-matrix tableau, and the
+    # HiGHS LP certifies; at the default cap no LP runs
+    big = np.random.default_rng(41).integers(-1, 2, (60, 60)).astype(float)
+    expected = _column_lp_value(big)
+    for cap in (0, default):
+        monkeypatch.setattr(game_module, "_TABLEAU_MAX_PIVOTS", cap)
+        calls.clear()
+        sol = solve_matrix_game(big, TOL)
+        if cap == 0:
+            assert calls == ["tableau", "tableau", "lp"]
+        else:
+            assert "lp" not in calls
+        assert sol.duality_gap <= TOL
+        assert certificate_holds(big, sol)
+        assert abs(sol.value - expected) <= 2 * TOL
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_support_solve_cuts_the_longer_side(monkeypatch, transpose):
+    # the hint weights two rows and three columns; the support solve keeps
+    # the two heaviest columns, 0 and 1, whose 2x2 kernel [[2, 0], [0, 1]]
+    # solves the game: value 2/3, gap 0.  The game -A^T with the hint's
+    # strategies swapped cuts the rows by the same rule
+    A = np.array([[2.0, 0.0, 3.0], [0.0, 1.0, 3.0], [-1.0, -1.0, -1.0]])
+    p, q = np.array([0.6, 0.4, 0.0]), np.array([0.5, 0.3, 0.2])
+    if transpose:
+        A, p, q = -A.T, q, p
+    calls = _log_sources(monkeypatch)
+    sol = solve_matrix_game(A, TOL, hint=MatrixGameSolution(0.0, p, q, 0.0))
+    assert calls == []
+    assert sol.duality_gap == 0.0
+    assert abs(sol.value - (-2 / 3 if transpose else 2 / 3)) <= 2 * TOL
+    kept = sol.row_strategy if transpose else sol.col_strategy
+    assert kept.nonzero()[0].tolist() == [0, 1]
+    assert certificate_holds(A, sol)
 
 
 def test_bland_rule_leaves_the_first_basic_variable(monkeypatch):
