@@ -323,11 +323,11 @@ def criterion_7_matrix_oracle() -> CriterionResult:
             A = rng.integers(-3, 4, (m, n)).astype(float)
         else:
             A = rng.uniform(-5.0, 5.0, (m, n))
-        lp = solve_matrix_game(A, tol).value
+        kernel = solve_matrix_game(A, tol).value
         brute = matrix_game_bruteforce(A)
-        worst = max(worst, abs(lp - brute))
+        worst = max(worst, abs(kernel - brute))
     return _result(7, "matrix-game-oracle", worst <= 2 * tol,
-                   f"max |lp - bruteforce| = {worst:.2e} <= {2 * tol:.1e} "
+                   f"max |kernel - bruteforce| = {worst:.2e} <= {2 * tol:.1e} "
                    f"over 200 matrices")
 
 

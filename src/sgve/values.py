@@ -143,15 +143,18 @@ def default_lambda_grid() -> np.ndarray:
 def fit_power_law(lams: np.ndarray, values: np.ndarray) -> PowerLawFit:
     """Fit sup-norm increments against the smallest-lambda value.
 
-    Ordinary least squares on the log-log points initializes (c, alpha);
-    the estimate is then refined against the exact finite-sample model
-    ``c * (lam^alpha - lam_min^alpha)``, which removes the bias the
-    subtraction of v at lam_min induces near the bottom of the grid.  The
-    limit is the smallest-lambda value corrected per coordinate by the
-    fitted power law.
+    The model is the exact finite-sample one, ``c * (lam^alpha -
+    lam_min^alpha)``, free of the bias that anchoring at lam_min puts into
+    a plain power law.  Its log is fitted by variable projection (Golub &
+    Pereyra 1973): for each alpha the best log c is the mean of
+    ``log incr - log(lam^alpha - lam_min^alpha)``, so only alpha is
+    searched, first on the scan 1/16, 2/16, ..., 4, then by golden section
+    down to 1e-10 between the best scan point's neighbours (0 and 4 at the
+    ends).  The model vanishes at alpha = 0, the search's lower end, and
+    increments that do not decay as lambda falls run the search there: c
+    then grows without bound and the fit is meaningless.  The limit is the
+    smallest-lambda value corrected per coordinate by the fitted power law.
     """
-    from scipy.optimize import least_squares
-
     lams = np.asarray(lams, dtype=float)
     values = np.asarray(values, dtype=float)
     vmin = values[-1]
@@ -161,29 +164,31 @@ def fit_power_law(lams: np.ndarray, values: np.ndarray) -> PowerLawFit:
     if mask.sum() < 2:
         return PowerLawFit(limit=vmin.copy(), coefficient=0.0, exponent=0.0,
                            residual=0.0)
-    X = np.log(lams[mask])
-    Y = np.log(incr[mask])
-    slope, intercept = np.polyfit(X, Y, 1)
+    lam, Y = lams[mask], np.log(incr[mask])
 
-    def resid(theta):
-        logc, alpha = theta
-        return Y - logc - np.log(np.maximum(np.exp(alpha * X) - lam_min ** alpha,
-                                            1e-300))
+    def sse(alpha):  # at the best log c, for a scalar alpha or a column of them
+        r = Y - np.log(lam ** alpha - lam_min ** alpha)
+        r = r - r.mean(axis=-1, keepdims=True)
+        return (r * r).sum(axis=-1)
 
-    sol = least_squares(resid, x0=[intercept, float(np.clip(slope, 0.05, 4.0))],
-                        method="lm")
-    logc, alpha = sol.x
-    alpha = float(np.clip(alpha, 0.0, 4.0))
-    coeff = float(np.exp(logc))
-    residual = float(np.abs(resid((logc, alpha))).max())
-
-    basis = lams[mask] ** alpha - lam_min ** alpha
-    denom = float(basis @ basis)
-    deltas = values[mask] - vmin
-    per_coord = (basis @ deltas) / denom
+    scan = np.arange(1, 65) / 16.0
+    best = scan[np.argmin(sse(scan[:, None]))]
+    lo, hi = best - 1 / 16, min(best + 1 / 16, 4.0)
+    x = lo + (3 - 5 ** 0.5) / 2 * (hi - lo)
+    fx = sse(x)
+    while hi - lo > 1e-10:
+        y = lo + hi - x  # the mirror of x, the bracket's other golden point
+        fy = sse(y)
+        if fy < fx:
+            x, fx, y = y, fy, x
+        lo, hi = (y, hi) if y < x else (lo, y)  # the worse point becomes an end
+    alpha = float(x)
+    basis = lam ** alpha - lam_min ** alpha
+    logc = np.mean(Y - np.log(basis))
+    per_coord = (basis @ (values[mask] - vmin)) / (basis @ basis)
     limit = vmin - per_coord * lam_min ** alpha
-    return PowerLawFit(limit=limit, coefficient=coeff, exponent=alpha,
-                       residual=residual)
+    return PowerLawFit(limit=limit, coefficient=float(np.exp(logc)), exponent=alpha,
+                       residual=float(np.abs(Y - logc - np.log(basis)).max()))
 
 
 def vanishing_discount(op: ShapleyOperator,
@@ -318,7 +323,8 @@ def _check_policy(policy, sizes, who: str) -> list[np.ndarray]:
         raise GameSpecError(f"{who} policy must cover every state")
     for k, (pk, nk) in enumerate(zip(policy, sizes)):
         pk = np.asarray(pk, dtype=float)
-        if pk.shape != (nk,) or pk.min() < 0 or abs(pk.sum() - 1.0) > 1e-9:
+        if (pk.shape != (nk,) or not np.isfinite(pk).all() or pk.min() < 0
+                or abs(pk.sum() - 1.0) > 1e-9):
             raise GameSpecError(
                 f"{who} policy for state {k} is not a distribution over {nk} actions")
         out.append(pk / pk.sum())

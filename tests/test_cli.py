@@ -433,10 +433,11 @@ def test_bench_failing_suite_exits_3(monkeypatch, capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the CLI loads scipy.optimize on its first LP or fit, so --help,
-    # parser rejections and `sgve growth` skip its import time, and so do
+    # sgve loads scipy.optimize on its first LP only, so --help, parser
+    # rejections and `sgve growth` skip its import time, and so do
     # `sgve solve` and `sgve curve` on exshap, whose games double oracle
-    # certifies
+    # certifies, and a vanishing-discount sweep and fit, whose 21-point
+    # games the simplex certifies
     src = str(Path(sgve.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -446,6 +447,9 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
          "print('scipy.optimize' in sys.modules)\n"
          "assert cli.main(['solve', 'bench:exshap', '--lambda', '0.5']) == 0\n"
          "assert cli.main(['curve', 'bench:exshap', '--lambda-grid', '0.6,0.5,0.45']) == 0\n"
+         "from sgve import bench, game, shapley, values\n"
+         "values.vanishing_discount(shapley.ShapleyOperator(\n"
+         "    game.discretize(bench.exshap_spec(), 21)))\n"
          "print('scipy.optimize' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()

@@ -9,8 +9,8 @@ from sgve import values as values_module
 from sgve.errors import GameSpecError, IterationBudgetError
 from sgve.game import DiscretizedGame, discretize
 from sgve.shapley import ShapleyOperator
-from sgve.values import (DeviationCheck, PowerLawFit, discounted_value,
-                         discounted_value_detailed,
+from sgve.values import (DeviationCheck, PowerLawFit, default_lambda_grid,
+                         discounted_value, discounted_value_detailed,
                          fit_power_law, iterate_deviation_check,
                          n_stage_series, operator_distance, rate_fit,
                          simulate, value_iteration, vanishing_discount)
@@ -165,6 +165,20 @@ def test_fit_power_law_recovers_sqrt():
     assert fit.coefficient == pytest.approx(2.0, rel=1e-6)
     assert fit.exponent == pytest.approx(0.5, abs=1e-6)
     assert fit.limit[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fit_power_law_pairs_its_exponent_with_the_best_coefficient():
+    # v = 0.3 + 2 lam^6 decays faster than the largest exponent, 4: the fit
+    # must return the best c for the exponent it reports, not the c of 6
+    lams = default_lambda_grid()
+    vs = 0.3 + 2.0 * lams ** 6
+    fit = fit_power_law(lams, vs[:, None])
+    assert type(fit.exponent) is float and 0.0 <= fit.exponent <= 4.0
+    incr = np.abs(vs - vs[-1])
+    used = incr > 1e-12  # the fit's increment floor drops the three smallest
+    best_logc = np.mean(np.log(incr[used]) - np.log(lams[used] ** fit.exponent
+                                                    - lams[-1] ** fit.exponent))
+    assert math.log(fit.coefficient) == pytest.approx(best_logc, abs=1e-12)
 
 
 def test_fit_power_law_flat_sentinel():
@@ -381,9 +395,10 @@ def test_simulate_reproducible():
 def test_simulate_invalid_distribution():
     game = constant_operator(2, 0.0).game
     rows, cols = uniform_policies(game)
-    bad = [np.array([0.5, 0.2, 0.2]), rows[1]]
-    with pytest.raises(GameSpecError):
-        simulate(game, bad, cols, n=3, start_state=0, seed=0, trials=1)
+    for row0 in ([0.5, 0.2, 0.2], [np.nan] * 3):
+        bad = [np.array(row0), rows[1]]
+        with pytest.raises(GameSpecError, match="not a distribution over 3 actions"):
+            simulate(game, bad, cols, n=3, start_state=0, seed=0, trials=1)
 
 
 def _simulate(game: DiscretizedGame, **changes):
