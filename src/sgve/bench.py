@@ -61,7 +61,7 @@ def mckinsey_game_file() -> dict:
     return {
         "states": 1,
         "actions": {"x": [[0.0, 1.0]], "y": [[0.0, 1.0]]},
-        "payoff": ["(1+x)*(1+y*1.0)/(2*(1+x*y)^2)"],
+        "payoff": [parametric._MCKINSEY_PAYOFF.format(z=1.0)],
         "transition": [["1"]],
     }
 

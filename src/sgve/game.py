@@ -138,14 +138,17 @@ def uniform_grid(box: Sequence[tuple[float, float]], resolution: int) -> np.ndar
     return pts.reshape(-1, len(box))
 
 
+def _bindings(prefix: str, points: np.ndarray) -> dict[str, np.ndarray]:
+    """One player's action variables bound to the coordinates on the last
+    axis of ``points``."""
+    return dict(zip(action_variables(prefix, points.shape[-1]),
+                    np.moveaxis(points, -1, 0)))
+
+
 def _product_bindings(xs: np.ndarray, ys: np.ndarray) -> dict[str, np.ndarray]:
     """Action-variable bindings over the product of two point lists: each
     x-coordinate runs down axis 0 and each y-coordinate along axis 1."""
-    bind = {name: xs[:, i, None]
-            for i, name in enumerate(action_variables("x", xs.shape[1]))}
-    bind.update((name, ys[:, j])
-                for j, name in enumerate(action_variables("y", ys.shape[1])))
-    return bind
+    return {**_bindings("x", xs[:, None]), **_bindings("y", ys)}
 
 
 def _exact_row_sums(r: np.ndarray) -> np.ndarray:

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import GameSpecError
-from .game import (_product_bindings, action_variables, solve_matrix_game,
-                   uniform_grid)
+from .game import _bindings, _product_bindings, solve_matrix_game, uniform_grid
 
 __all__ = [
     "SeparableSpec", "separable_value",
@@ -62,8 +61,8 @@ def separable_value(spec: SeparableSpec, z: Mapping[str, float],
     xs = uniform_grid(spec.x_box, resolution)
     ys = uniform_grid(spec.y_box, resolution)
     zb = dict(z)
-    bx = {**dict(zip(action_variables("x", xs.shape[1]), xs.T)), **zb}
-    by = {**dict(zip(action_variables("y", ys.shape[1]), ys.T)), **zb}
+    bx = {**_bindings("x", xs), **zb}
+    by = {**_bindings("y", ys), **zb}
     A = np.array([ex.evaluate(ai, bx) for ai in spec.a])  # (I, nx)
     B = np.array([ex.evaluate(bj, by) for bj in spec.b])  # (J, ny)
     M = np.array([[ex.evaluate(mij, zb) for mij in row] for row in spec.m])
@@ -91,8 +90,7 @@ def convexity_spot_check(spec: ConvexGameSpec, z: Mapping[str, float]) -> float:
     draws = rng.uniform(lo, hi, (64, p + 2 * q))
     x, y1, y2 = draws[:, :p], draws[:, p:p + q], draws[:, p + q:]
     y = np.stack([(y1 + y2) / 2, y1, y2])  # (3, 64, q)
-    bind = {**dict(z), **dict(zip(action_variables("x", p), x.T)),
-            **dict(zip(action_variables("y", q), np.moveaxis(y, -1, 0)))}
+    bind = {**dict(z), **_bindings("x", x), **_bindings("y", y)}
     gm, g1, g2 = ex.evaluate(spec.payoff, bind)
     worst = float(np.max(gm - (g1 + g2) / 2, initial=0.0))
     if worst > 1e-9:
@@ -139,11 +137,15 @@ def convex_value(spec: ConvexGameSpec, z: Mapping[str, float],
     return best
 
 
+# the benchmark payoff in x, y and z; bench:mckinsey is its z = 1.0 instance
+_MCKINSEY_PAYOFF = "(1+x)*(1+y*{z})/(2*(1+x*y)^2)"
+_MCKINSEY = ex.parse(_MCKINSEY_PAYOFF.format(z="z"), ("x", "y", "z"))
+
+
 def mckinsey_payoff_matrix(z: float, resolution: int) -> np.ndarray:
     """Benchmark payoff (1+x)(1+yz) / (2(1+xy)^2) on uniform unit grids."""
-    x = np.linspace(0.0, 1.0, resolution)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    return (1 + X) * (1 + Y * z) / (2 * (1 + X * Y) ** 2)
+    x = uniform_grid(((0.0, 1.0),), resolution)
+    return ex.evaluate(_MCKINSEY, {**_product_bindings(x, x), "z": z})
 
 
 def mckinsey_value(z: float) -> float:

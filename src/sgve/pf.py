@@ -71,6 +71,8 @@ class MonotoneMap:
     _padded: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.d < 1:
+            raise GameSpecError("d must be a positive integer")
         if self.kind not in KINDS:
             raise GameSpecError(f"unknown map kind {self.kind!r}")
         if self.kind == "explicitExpr":

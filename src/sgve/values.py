@@ -4,6 +4,7 @@ fitting, operator perturbation checks, and Monte-Carlo rollout of
 stationary strategies."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -11,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GameSpecError, IterationBudgetError
-from .game import DiscretizedGame, MatrixGameSolution
+from .game import DiscretizedGame, MatrixGameSolution, _exact_row_sums
 from .shapley import ShapleyOperator
 
 __all__ = [
@@ -39,9 +40,18 @@ def _orbit(op: ShapleyOperator) -> Iterator[np.ndarray]:
         f, _, hints = op.apply_with_gaps(f, hints)
 
 
+def _horizon(n) -> int:
+    """``n`` as an int; a ValueError names a horizon that is not one."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"horizon {n!r} is not an integer") from None
+
+
 def value_iteration(op: ShapleyOperator, n: int) -> np.ndarray:
     """Value of the n-stage averaged game: n hinted operator applications
     to 0, divided by n."""
+    n = _horizon(n)
     if n < 1:
         raise ValueError("n must be >= 1")
     return next(islice(_orbit(op), n, None)) / n
@@ -50,7 +60,7 @@ def value_iteration(op: ShapleyOperator, n: int) -> np.ndarray:
 def n_stage_series(op: ShapleyOperator, ns: Sequence[int]) -> list[tuple[int, np.ndarray]]:
     """n-stage values at several horizons in a single iteration pass, with
     the same hinted applications as :func:`value_iteration`."""
-    wanted = set(int(n) for n in ns)
+    wanted = set(map(_horizon, ns))
     if not wanted or min(wanted) < 1:
         raise ValueError("horizons must be positive")
     return [(n, f / n) for n, f in enumerate(islice(_orbit(op), max(wanted) + 1))
@@ -239,6 +249,8 @@ def rate_fit(series: Iterable[tuple[int, np.ndarray]], v_inf) -> RateFit:
     v_inf = np.asarray(v_inf, dtype=float)
     ns, errs = [], []
     for n, vn in series:
+        if n < 1:
+            raise ValueError("horizons must be positive")
         e = float(np.abs(np.asarray(vn, float) - v_inf).max())
         if e > INCREMENT_FLOOR:
             ns.append(float(n))
@@ -327,7 +339,7 @@ def _check_policy(policy, sizes, who: str) -> list[np.ndarray]:
                 or abs(pk.sum() - 1.0) > 1e-9):
             raise GameSpecError(
                 f"{who} policy for state {k} is not a distribution over {nk} actions")
-        out.append(pk / pk.sum())
+        out.append(_exact_row_sums(pk))
     return out
 
 

@@ -46,7 +46,7 @@ def test_criterion_06_perturbation_transfer():
 
 
 def test_criterion_07_matrix_game_oracle_equivalence():
-    """LP solver agrees with support enumeration within 2 tol."""
+    """The matrix-game kernel agrees with support enumeration within 2 tol."""
     _run(7)
 
 

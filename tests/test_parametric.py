@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sgve import expr
+from sgve import bench, expr
 from sgve.errors import GameSpecError
-from sgve.game import solve_matrix_game
+from sgve.game import discretize, solve_matrix_game
+from sgve.gamefile import game_spec_from_document
 from sgve.parametric import (ConvexGameSpec, SeparableSpec, convex_value,
                              convexity_spot_check, mckinsey_grid_value,
                              mckinsey_payoff_matrix, mckinsey_value,
@@ -171,6 +172,17 @@ def test_mckinsey_domain():
             mckinsey_value(z)
         with pytest.raises(ValueError):
             mckinsey_grid_value(z, 11)
+
+
+def test_mckinsey_matrix_is_the_bench_document_payoff():
+    # one payoff text: the z = 1 matrix is the bench:mckinsey game's grid,
+    # and the grid's resolution rule is every other grid's
+    spec = game_spec_from_document(bench.mckinsey_game_file())[0]
+    for points in (2, 7, 51):
+        assert np.array_equal(mckinsey_payoff_matrix(1.0, points),
+                              discretize(spec, points).g[0])
+    with pytest.raises(GameSpecError, match="grid resolution must be >= 2"):
+        mckinsey_payoff_matrix(0.5, 1)
 
 
 def test_mckinsey_grid_close_to_oracle():

@@ -113,6 +113,8 @@ def test_negative_weight_rejected():
 
 
 @pytest.mark.parametrize("call, error, match", [
+    (lambda: min_linear([]), GameSpecError, "d must be a positive integer"),
+    (lambda: explicit_map([]), GameSpecError, "d must be a positive integer"),
     (lambda: MonotoneMap(d=1, kind="linear", weights=(((1.0,),),)),
      GameSpecError, "unknown map kind 'linear'"),
     (lambda: MonotoneMap(d=2, kind="explicitExpr", exprs=explicit_map(["f1"]).exprs),
@@ -131,8 +133,9 @@ def test_negative_weight_rejected():
      GameSpecError, "argument must have length 2"),
     (lambda: check_cone_properties(identity_map(2), [((1.0, 1.0), (2.0, 2.0), 0.5)]),
      ValueError, "subhomogeneity scalars must be >= 1"),
-], ids=["unknown-kind", "expr-count", "no-exprs", "family-count", "no-weights",
-        "empty-family", "short-vector", "risk-sensitive-length", "scalar-below-one"])
+], ids=["no-coordinates-linear", "no-coordinates-explicit", "unknown-kind",
+        "expr-count", "no-exprs", "family-count", "no-weights", "empty-family",
+        "short-vector", "risk-sensitive-length", "scalar-below-one"])
 def test_map_input_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()

@@ -92,6 +92,9 @@ def test_n_stage_series_matches_value_iteration(exshap_op_coarse):
     series = dict(n_stage_series(exshap_op_coarse, [1, 3, 5]))
     assert np.array_equal(series[5], value_iteration(exshap_op_coarse, 5))
     assert sorted(series) == [1, 3, 5]
+    # numpy integers are horizons too
+    assert np.array_equal(series[5], value_iteration(exshap_op_coarse, np.int64(5)))
+    assert sorted(dict(n_stage_series(exshap_op_coarse, np.array([1, 3, 5])))) == [1, 3, 5]
 
 
 def test_discounted_benchmark_closed_form(exshap_op):
@@ -411,6 +414,10 @@ def _simulate(game: DiscretizedGame, **changes):
     (lambda op: value_iteration(op, 0), ValueError, "n must be >= 1"),
     (lambda op: n_stage_series(op, []), ValueError, "horizons must be positive"),
     (lambda op: n_stage_series(op, [2, 0]), ValueError, "horizons must be positive"),
+    (lambda op: value_iteration(op, 2.5), ValueError, "horizon 2.5 is not an integer"),
+    (lambda op: n_stage_series(op, [1, 2.5]), ValueError, "horizon 2.5 is not an integer"),
+    (lambda op: rate_fit([(0, [1.0]), (1, [0.5]), (2, [0.3]), (4, [0.2])], [0.0]),
+     ValueError, "horizons must be positive"),
     (lambda op: operator_distance(op, constant_operator(3, 0.5)),
      GameSpecError, "operators must share the state space"),
     (lambda op: iterate_deviation_check(op, op, 0), ValueError, "n must be >= 1"),
@@ -423,8 +430,9 @@ def _simulate(game: DiscretizedGame, **changes):
      GameSpecError, "start state 2 out of range"),
     (lambda op: _simulate(op.game, start_state=-1),
      GameSpecError, "start state -1 out of range"),
-], ids=["value-iteration-n", "no-horizons", "zero-horizon", "state-spaces",
-        "deviation-n", "policy-states", "no-trials", "simulate-n", "negative-seed",
+], ids=["value-iteration-n", "no-horizons", "zero-horizon",
+        "value-iteration-fraction", "series-fraction", "rate-fit-zero-horizon",
+        "state-spaces", "deviation-n", "policy-states", "no-trials", "simulate-n", "negative-seed",
         "start-state-high", "start-state-low"])
 def test_values_input_checks(call, error, match):
     with pytest.raises(error, match=match):
