@@ -404,6 +404,11 @@ def _tableau_solve(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
+def _with(support: np.ndarray, k) -> np.ndarray:
+    """The ascending ``support`` with index k in it."""
+    return support if k in support else np.insert(support, support.searchsorted(k), k)
+
+
 def _double_oracle(A: np.ndarray, start: MatrixGameSolution):
     """The solutions of double oracle (McMahan, Gordon & Blum 2003) on A,
     from the supports of ``start``, one per round.
@@ -424,8 +429,8 @@ def _double_oracle(A: np.ndarray, start: MatrixGameSolution):
         i, j = (A @ sol.col_strategy).argmax(), (sol.row_strategy @ A).argmin()
         if i in rows and j in cols:
             return
-        rows = np.union1d(rows, [i])
-        cols = np.union1d(cols, [j])
+        # a sorted insert, not np.union1d, whose np.unique imports numpy.ma
+        rows, cols = _with(rows, i), _with(cols, j)
         if max(len(rows), len(cols)) > _DO_MAX_SIDE:
             return
 

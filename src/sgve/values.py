@@ -70,6 +70,7 @@ def n_stage_series(op: ShapleyOperator, ns: Sequence[int]) -> list[tuple[int, np
 @dataclass(frozen=True)
 class DiscountedResult:
     value: np.ndarray
+    # operator applications, rejected policy-evaluation candidates included
     iterations: int
     error_bound: float  # on the distance to the fixed point, solver slack aside
     # per-state solutions of the final operator application: the hints of
@@ -85,19 +86,49 @@ def discounted_apply(op: ShapleyOperator, lam: float, f: np.ndarray,
     return lam * psi, gaps, hints
 
 
+def _policy_value(game: DiscretizedGame, lam: float,
+                  sols: Sequence[MatrixGameSolution]) -> np.ndarray:
+    """lam-discounted value of the stationary profile that plays the
+    strategies of ``sols`` in every state: the solution w of
+    (I - (1-lam) P) w = lam r, where P_k = sum_ij p_i q_j rho_k[i, j, :]
+    and r_k = p g_k q.  P is row-stochastic, so for lam > 0 the matrix is
+    strictly diagonally dominant and nonsingular."""
+    P = np.array([s.col_strategy @ np.tensordot(s.row_strategy, rho, 1)
+                  for s, rho in zip(sols, game.rho)])
+    r = np.array([s.row_strategy @ g @ s.col_strategy for s, g in zip(sols, game.g)])
+    return np.linalg.solve(np.eye(game.states) - (1.0 - lam) * P, lam * r)
+
+
 def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
                               start: np.ndarray | None = None,
                               hints: Sequence[MatrixGameSolution] | None = None,
                               ) -> DiscountedResult:
-    """Discounted value, the fixed point of :func:`discounted_apply`.
+    """Discounted value, the fixed point of :func:`discounted_apply`, T.
 
-    The map contracts with factor (1 - lam), so the last step bounds the
-    error by ``step * (1 - lam) / lam``; iteration stops once that bound
-    is at most ``eps``, plus matrix-game solver slack.  At ``lam = 1`` the
-    map is constant, so it stops after one application: the one-shot value.
-    ``hints`` are per-state solutions that hint the first application (see
-    :meth:`ShapleyOperator.apply_with_gaps`); each later one is hinted by
-    its predecessor.  More than ``MAX_FIXED_POINT_ITERATIONS`` steps raise
+    T contracts with factor (1 - lam), so at a point x the residual
+    ``step = |T(x) - x|`` bounds the distance of T(x) to the fixed point
+    by ``step * (1 - lam) / lam``; iteration stops, returning T(x), once
+    that bound is at most ``eps``, plus matrix-game solver slack.  At
+    ``lam = 1`` the map is constant, so it stops after one application:
+    the one-shot value.
+
+    From x the iteration moves to T(x), a contraction step, except where
+    the contraction runs near its modulus, that is where the step has
+    shrunk by less than (1 - lam)^2 since the previous point.  There it
+    tries a policy-evaluation step (Hoffman & Karp 1966): the candidate is
+    the exact value of the stationary profile that plays, in every state,
+    the solutions of the application at x (:func:`_policy_value`, one
+    d x d solve).  The candidate w is kept only if its residual
+    |T(w) - w| is below x's; otherwise the iteration steps to T(x) as
+    usual.  This safeguard stops policy evaluation cycling on its own
+    (Filar & Tolwinski 1991); games whose steps shrink fast never take
+    the gate, and their iterates are the plain contraction's.
+
+    ``iterations`` counts operator applications, a rejected candidate's
+    included.  ``hints`` are per-state solutions that hint the first
+    application (see :meth:`ShapleyOperator.apply_with_gaps`); each later
+    one is hinted by the application at the point it moves from.  More than
+    ``MAX_FIXED_POINT_ITERATIONS`` applications raise
     :class:`IterationBudgetError`.
     """
     if not 0.0 < lam <= 1.0:
@@ -105,12 +136,21 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
     if not eps > 0:
         raise ValueError("eps must be positive")
     f = np.zeros(op.dim) if start is None else np.asarray(start, dtype=float).copy()
+    last = np.inf  # the step at the point f moved from
+    fallback = None  # T(x) and its hints while f is a candidate from x
     for it in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
-        fn, _, hints = discounted_apply(op, lam, f, hints)
+        fn, _, h = discounted_apply(op, lam, f, hints)
         step = float(np.abs(fn - f).max())
-        f = fn
+        if fallback is not None and step >= last:  # rejected: step to T(x)
+            (f, hints), fallback = fallback, None
+            continue
         if step * (1.0 - lam) <= eps * lam:
-            return DiscountedResult(f, it, step * (1.0 - lam) / lam, hints)
+            return DiscountedResult(fn, it, step * (1.0 - lam) / lam, h)
+        if step >= (1.0 - lam) ** 2 * last:
+            fallback, f = (fn, h), _policy_value(op.game, lam, h)
+        else:
+            fallback, f = None, fn
+        hints, last = h, step
     raise IterationBudgetError(
         f"discounted fixed point at lam={lam} did not reach step "
         f"{eps * lam / (1.0 - lam):.3e} within {MAX_FIXED_POINT_ITERATIONS} iterations")

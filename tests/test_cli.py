@@ -218,6 +218,21 @@ def test_curve_lambda_grid_monotone_benchmark(tmp_path):
     assert second == sorted(second)
 
 
+def test_curve_counts_policy_evaluation_applications(capsys):
+    # the one-state game contracts at exactly 1 - lam, so the fixed point
+    # takes a policy-evaluation step; the iterations column counts every
+    # application, the plain contraction's 20 and 263 down to 3 each
+    assert main(["curve", "bench:mckinsey", "--lambda-grid", "0.5,0.05",
+                 "--resolution", "21"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "lambda,v0,iterations,residual"
+    for line in lines[1:]:
+        _, v0, iterations, residual = line.split(",")
+        assert int(iterations) == 3
+        assert float(residual) <= 1e-6
+        assert abs(float(v0) - 1 / (2 * math.log(2))) <= 1e-5  # mckinsey_value(1)
+
+
 def test_curve_stdout_byte_identical(tmp_path, capsys):
     path = tmp_path / "const.json"
     path.write_text(json.dumps(CONSTANT_GAME))
@@ -437,20 +452,21 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # rejections and `sgve growth` skip its import time, and so do
     # `sgve solve` and `sgve curve` on exshap, whose games double oracle
     # certifies, and a vanishing-discount sweep and fit, whose 21-point
-    # games the simplex certifies
+    # games the simplex certifies.  None of them loads numpy.ma, which
+    # np.unique imports on its first call
     src = str(Path(sgve.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, sgve.cli as cli\n"
-         "print('scipy.optimize' in sys.modules)\n"
+         "print('scipy.optimize' in sys.modules, 'numpy.ma' in sys.modules)\n"
          "assert cli.main(['solve', 'bench:exshap', '--lambda', '0.5']) == 0\n"
          "assert cli.main(['curve', 'bench:exshap', '--lambda-grid', '0.6,0.5,0.45']) == 0\n"
          "from sgve import bench, game, shapley, values\n"
          "values.vanishing_discount(shapley.ShapleyOperator(\n"
          "    game.discretize(bench.exshap_spec(), 21)))\n"
-         "print('scipy.optimize' in sys.modules)"],
+         "print('scipy.optimize' in sys.modules, 'numpy.ma' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert lines[0] == lines[-1] == "False"
+    assert lines[0] == lines[-1] == "False False"

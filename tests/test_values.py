@@ -130,6 +130,103 @@ def test_discounted_iteration_budget(exshap_op_coarse, monkeypatch):
         discounted_value_detailed(exshap_op_coarse, 0.05, 1e-6)
 
 
+def _value_2x2(A: np.ndarray) -> np.ndarray:
+    """Closed-form values of 2x2 matrix games stacked on the leading axes;
+    the mixed formula divides by zero only where a pure saddle makes it
+    unused."""
+    a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+    lower = np.maximum(np.minimum(a, b), np.minimum(c, d))
+    upper = np.minimum(np.maximum(a, c), np.maximum(b, d))
+    return np.where(lower == upper, lower, (a * d - b * c) / (a + d - b - c))
+
+
+def _two_action_game(seed: int) -> DiscretizedGame:
+    """A random 3-state game with 2x2 stage games; its chain mixes slowly."""
+    return bench.random_discretized_game(np.random.default_rng(seed), 3, max_actions=2)
+
+
+def test_policy_evaluation_steps_reach_the_contraction_fixed_point():
+    # slowly mixing random games with 2x2 stage games: the plain
+    # contraction from 0, by the closed-form stage values and independent
+    # of the kernel, needs ~21000 steps at lam = 1e-3 for its own bound to
+    # reach 1e-10; the safeguarded iteration lands within its error bound
+    # of that reference in at most 20 applications
+    games = [_two_action_game(seed) for seed in (5, 6)]
+    lams = np.array([0.05, 0.01, 1e-3])
+    g = np.stack([np.stack(game.g) for game in games])
+    rho = np.stack([np.stack(game.rho) for game in games]).reshape(len(games), -1, 3)
+    lam_axis = lams[:, None, None, None, None]
+    f = np.zeros((len(lams), len(games), 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            cont = (rho @ f[..., None]).reshape(*f.shape, 2, 2)
+            fn = _value_2x2(lam_axis * g + (1 - lam_axis) * cont)
+            bound = (1 - lams) / lams * np.abs(fn - f).max(axis=(1, 2))
+            f = fn
+            if bound.max() <= 1e-10:
+                break
+    for b, game in enumerate(games):
+        op = ShapleyOperator(game, tol=TOL)
+        for x, lam in enumerate(lams):
+            r = discounted_value_detailed(op, float(lam), 1e-6)
+            assert r.iterations <= 20
+            assert r.error_bound <= 1e-6
+            assert np.abs(r.value - f[x, b]).max() <= r.error_bound + bound[x] + 2 * TOL
+
+
+def test_exshap_keeps_the_plain_contraction(exshap_op, monkeypatch):
+    # exshap's steps shrink by 0.09-0.21 per application, below the gate's
+    # (1 - lam)^2, so it never tries a policy-evaluation step
+    calls = []
+    real = values_module._policy_value
+    monkeypatch.setattr(values_module, "_policy_value",
+                        lambda *args: calls.append(args) or real(*args))
+    counts = [discounted_value_detailed(exshap_op, lam, 1e-6).iterations
+              for lam in (0.5, 0.05)]
+    assert counts == [7, 10]
+    assert calls == []
+
+
+def _plain_contraction(op, lam, eps):
+    """The contraction alone, hinted as the safeguarded iteration hints it."""
+    f, hints, n = np.zeros(op.dim), None, 0
+    while True:
+        fn, _, hints = values_module.discounted_apply(op, lam, f, hints)
+        n += 1
+        step = np.abs(fn - f).max()
+        f = fn
+        if step * (1 - lam) <= eps * lam:
+            return f, n
+
+
+def test_rejected_candidates_fall_back_to_the_contraction(monkeypatch):
+    # a candidate far from the fixed point always has the larger residual:
+    # each one costs an application, and the iterates are the plain
+    # contraction's
+    op = ShapleyOperator(_two_action_game(5), tol=TOL)
+    plain, n = _plain_contraction(op, 0.05, 1e-6)
+    candidates = []
+
+    def far(game, lam, sols):
+        candidates.append(lam)
+        return np.full(game.states, 100.0)
+
+    monkeypatch.setattr(values_module, "_policy_value", far)
+    r = discounted_value_detailed(op, 0.05, 1e-6)
+    assert len(candidates) > n // 2
+    assert r.iterations == n + len(candidates)
+    assert np.array_equal(r.value, plain)
+    assert r.error_bound <= 1e-6
+
+
+def test_iteration_budget_counts_candidate_applications(monkeypatch):
+    op = ShapleyOperator(_two_action_game(5), tol=TOL)
+    n = discounted_value_detailed(op, 1e-3, 1e-6).iterations
+    monkeypatch.setattr(values_module, "MAX_FIXED_POINT_ITERATIONS", n - 1)
+    with pytest.raises(IterationBudgetError, match=f"within {n - 1} iterations"):
+        discounted_value_detailed(op, 1e-3, 1e-6)
+
+
 def test_fixed_point_residual_and_bound():
     rng = np.random.default_rng(21)
     op = ShapleyOperator(bench.random_discretized_game(rng, 3), tol=TOL)
