@@ -5,7 +5,8 @@ coordinates); :func:`discretize` turns it into a :class:`DiscretizedGame`
 holding dense payoff and transition tensors over uniform action grids.  The
 kernel of everything downstream is :func:`solve_matrix_game`, which returns a
 gap-certified mixed value of a finite zero-sum matrix game, reusing the
-supports of a previous solution when they still certify.
+strategies of a previous solution, or else their supports, when they still
+certify.
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ ROW_SUM_TOLERANCE = 1e-6
 _NEGATIVE_CLAMP = 1e-12
 # _supports: the rows and the columns a solution weights above this, ascending
 _SUPPORT_THRESHOLD = 1e-9
+# one machine epsilon: how far from 1.0 the float sum of a strategy may be
+_EPS = float(np.finfo(float).eps)
 
 
 def linprog(*args, **kwargs):
@@ -100,10 +103,21 @@ class DiscretizedGame:
     controller: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        for k in range(self.states):
-            nx, ny = self.g[k].shape
-            if self.rho[k].shape != (nx, ny, self.states):
+        d = self.states
+        if d < 1:
+            raise GameSpecError("state count must be >= 1")
+        for name in ("g", "rho", "grids_x", "grids_y", "controller"):
+            entries = getattr(self, name)
+            if entries is not None and len(entries) != d:
+                raise GameSpecError(
+                    f"{name} needs one entry per state: {len(entries)} for {d} states")
+        for k in range(d):
+            if np.ndim(self.g[k]) != 2 or np.shape(self.rho[k]) != (*self.g[k].shape, d):
                 raise GameSpecError(f"tensor shape mismatch in state {k}")
+            if (len(self.grids_x[k]), len(self.grids_y[k])) != self.g[k].shape:
+                raise GameSpecError(
+                    f"state {k}: grids of {len(self.grids_x[k])} and "
+                    f"{len(self.grids_y[k])} points for a {self.g[k].shape} payoff")
 
     def payoff_bound(self) -> float:
         return max(float(np.abs(gk).max()) for gk in self.g)
@@ -171,6 +185,14 @@ def _exact_row_sums(r: np.ndarray) -> np.ndarray:
             break
         rows[np.arange(len(rows)), rows.argmax(axis=1)] += resid
     return r
+
+
+def _is_mix(v: np.ndarray) -> bool:
+    """Whether v is a probability vector by the rule of
+    :func:`_exact_row_sums`: entries nonnegative and a float sum within one
+    machine epsilon of 1.0.  A NaN entry fails the second test, whatever
+    Python's ``min`` makes of it."""
+    return min(v.tolist()) >= 0.0 and bool(abs(np.add.reduce(v) - 1.0) <= _EPS)
 
 
 def discretize(spec: GameSpec, resolution: int) -> DiscretizedGame:
@@ -436,10 +458,16 @@ def _double_oracle(A: np.ndarray, start: MatrixGameSolution):
 
 
 def _candidate_batches(A: np.ndarray, hint: MatrixGameSolution | None,
-                       pure: MatrixGameSolution):
+                       pure: MatrixGameSolution, tol: float):
     """The sources of :func:`solve_matrix_game` after the pure pair, in
     order, one batch of candidates per step."""
     if hint is not None:
+        # copies: the solution returned shares no array with the hint.  The
+        # gap is tested first: it is what fails on the hints of a discounted
+        # iteration, which would otherwise pay for both tests
+        sol = _certify(A, hint.row_strategy.astype(float), hint.col_strategy.astype(float))
+        if sol.duality_gap <= tol and _is_mix(sol.row_strategy) and _is_mix(sol.col_strategy):
+            yield [sol]
         yield [_support_solve(A, hint)]
     oracle = (_double_oracle(A, pure if hint is None else hint)
               if min(A.shape) > _DO_CROSSOVER else ())
@@ -458,13 +486,16 @@ def solve_matrix_game(A, tol: float = 1e-9,
     One stream of candidates, each certified against A, so the certificate
     is independent of how a candidate was found.  The first is the pure
     pair, the maximin row against the minimax column; an exact pure saddle
-    has gap 0.  Then come, in order: the equalizing strategies on the
-    supports of ``hint`` (a solution of a nearby game of the same shape,
-    say the previous iterate's); on games whose sides both have more than
-    ``_DO_CROSSOVER`` actions, the rounds of :func:`_double_oracle` from the
-    hint's supports, else the pure pair's; the numpy simplex
-    :func:`_tableau_solve` on the whole matrix; and last one HiGHS LP,
-    :func:`_lp_solve`.  Each double-oracle round, the simplex and the LP
+    has gap 0.  Then come, in order: the strategies of ``hint`` (a solution
+    of a nearby game of the same shape, say the previous iterate's), as
+    new arrays, but only if their gap is within ``tol`` and both are
+    probability vectors (entries nonnegative, float sum within one machine
+    epsilon of 1, the rule :func:`_exact_row_sums` delivers); the
+    equalizing strategies on the hint's supports; on games whose sides
+    both have more than ``_DO_CROSSOVER`` actions, the rounds of
+    :func:`_double_oracle` from the hint's supports, else the pure pair's;
+    the numpy simplex :func:`_tableau_solve` on the whole matrix; and last
+    one HiGHS LP, :func:`_lp_solve`.  Each double-oracle round, the simplex and the LP
     add their solution and the equalizing strategies on its supports.  The
     candidate with the smallest gap is kept (ties go to the earlier one)
     and returned as soon as its gap is within ``tol``; only then does the
@@ -499,7 +530,7 @@ def solve_matrix_game(A, tol: float = 1e-9,
     best = _bracketed(p, q, float(row_min[i]), float(col_max[j]))
     if best.duality_gap <= tol:
         return best
-    batches = _candidate_batches(A, hint, best)
+    batches = _candidate_batches(A, hint, best, tol)
     while best.duality_gap > tol:
         found = next(batches, None)
         if found is None:

@@ -15,6 +15,9 @@ switching control still needs mixed strategies.
 The operator is monotone, commutes with adding a constant to every
 component, and is nonexpansive in the sup norm; :func:`check_properties`
 measures violations of all three on sample pairs, up to solver-gap slack.
+A shift of f by a constant shifts every state's matrix by that constant,
+which leaves its optimal strategies in place, so f's strategies, passed as
+hints, certify the shifts of f themselves.
 """
 from __future__ import annotations
 
@@ -124,9 +127,10 @@ def check_properties(op: ShapleyOperator,
     Monotonicity is only measurable on componentwise-ordered pairs; the
     report counts how many pairs qualified.  Homogeneity applies each
     shift in ``_HOMOGENEITY_SHIFTS`` to the first vector of every pair.
-    The solutions at f hint the solves at g and at every shift of f (the
-    same matrices plus a constant, so the same supports); those at g hint
-    the next pair.
+    The solutions at f hint the solves at g and at every shift of f; those
+    at g hint the next pair.  A shift of f is f's matrices plus a constant,
+    so f's strategies themselves certify the shifts, within the solver's
+    ``tol``.
     """
     mono = homo = nonexp = gap = 0.0
     ordered = total = 0

@@ -155,6 +155,13 @@ def _one_state_game(g, rho) -> DiscretizedGame:
                            rho=(np.asarray(rho, dtype=float),))
 
 
+def _two_state_game(**changes) -> DiscretizedGame:
+    grid = np.zeros((2, 1))
+    return DiscretizedGame(**{"states": 2, "grids_x": (grid, grid), "grids_y": (grid, grid),
+                              "g": (np.zeros((2, 2)),) * 2,
+                              "rho": (np.full((2, 2, 2), 0.5),) * 2, **changes})
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: _one_state_spec(states=0), "state count must be >= 1"),
     (lambda: _one_state_spec(payoff=(_X, _X)), "one payoff expression per state"),
@@ -165,11 +172,30 @@ def _one_state_game(g, rho) -> DiscretizedGame:
     (lambda: _one_state_spec(y_box=((0.0, math.inf),)), r"bad box bounds \(0.0, inf\)"),
     (lambda: _one_state_game(np.zeros((2, 2)), np.ones((2, 1, 1))),
      "tensor shape mismatch in state 0"),
+    (lambda: DiscretizedGame(states=0, grids_x=(), grids_y=(), g=(), rho=()),
+     "state count must be >= 1"),
+    (lambda: _two_state_game(g=(np.zeros((2, 2)),)), "g needs one entry per state: 1 for 2"),
+    (lambda: _two_state_game(rho=(np.ones((2, 2, 2)),) * 3), "rho needs one entry per state"),
+    (lambda: _two_state_game(grids_x=(np.zeros((2, 1)),)), "grids_x needs one entry"),
+    (lambda: _two_state_game(grids_y=()), "grids_y needs one entry per state: 0 for 2"),
+    (lambda: _two_state_game(controller=("p1",)), "controller needs one entry per state"),
+    (lambda: _two_state_game(grids_x=(np.zeros((2, 1)), np.zeros((3, 1)))),
+     r"state 1: grids of 3 and 2 points for a \(2, 2\) payoff"),
+    (lambda: _two_state_game(grids_y=(np.zeros((1, 1)), np.zeros((2, 1)))),
+     r"state 0: grids of 2 and 1 points"),
+    (lambda: _one_state_game(np.zeros(2), np.ones((2, 1))), "tensor shape mismatch in state 0"),
 ], ids=["no-states", "payoff-count", "transition-rows", "transition-columns",
-        "controller-count", "empty-box", "infinite-box", "tensor-shapes"])
+        "controller-count", "empty-box", "infinite-box", "tensor-shapes",
+        "no-grid-states", "g-count", "rho-count", "grids-x-count", "grids-y-count",
+        "controller-tags", "x-grid-rows", "y-grid-rows", "flat-payoff"])
 def test_game_input_checks(make, match):
     with pytest.raises(GameSpecError, match=match):
         make()
+
+
+def test_two_state_game_of_the_input_checks_builds():
+    # every case above changes one field of this game, which is valid
+    assert _two_state_game(controller=("p1", None)).states == 2
 
 
 def test_payoff_bound_is_the_largest_absolute_payoff():
@@ -464,6 +490,82 @@ def test_pure_saddle_ignores_mixed_hint(monkeypatch):
     assert sol.duality_gap == 0.0
     assert sol.row_strategy.tolist() == [1.0, 0.0]
     assert sol.col_strategy.tolist() == [1.0, 0.0]
+
+
+def test_hint_that_is_no_probability_vector_is_not_returned():
+    # p @ A and A @ q are both (0.75, 0.75), a gap of 0 at 0.75, but the
+    # strategies sum to 1/2: the hint's supports give the value, 1.5
+    A = [[3.0, 1.0], [0.0, 2.0]]
+    hint = MatrixGameSolution(0.75, np.array([0.25, 0.25]), np.array([0.125, 0.375]), 0.0)
+    sol = solve_matrix_game(A, TOL, hint=hint)
+    assert abs(sol.value - 1.5) <= 2 * TOL
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(A, sol)
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan])
+def test_hint_with_a_negative_or_nan_entry_is_not_returned(bad):
+    # with p = q = (0.75, 0.75, -0.5) the bracket is inverted: p @ A is at
+    # least 4 and A @ q at most -1, which would read as value 1.5 at gap 0.
+    # The value is 1, from the first two rows and columns
+    A = np.array([[2.0, 0.0, 5.0], [0.0, 2.0, 5.0], [-5.0, -5.0, -5.0]])
+    s = np.array([0.75, 0.75, bad]) if bad < 0 else np.array([0.5, bad, 0.5])
+    sol = solve_matrix_game(A, TOL, hint=MatrixGameSolution(1.5, s, s.copy(), 0.0))
+    for mix in (sol.row_strategy, sol.col_strategy):
+        assert not np.array_equal(mix, s, equal_nan=True)
+        assert mix.min() >= 0.0
+    assert abs(sol.value - 1.0) <= 2 * TOL
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(A, sol)
+
+
+def test_hint_that_certifies_is_returned_without_a_support_solve(monkeypatch):
+    # a constant shift leaves a game's optimal strategies in place, so the
+    # hint certifies A + 7 with no equalization system solved
+    hint = solve_matrix_game(_MIXED, TOL)
+
+    def equalizing_mixes(B):
+        raise AssertionError("support solve")
+
+    monkeypatch.setattr(game_module, "_equalizing_mixes", equalizing_mixes)
+    calls = _log_sources(monkeypatch)
+    sol = solve_matrix_game(_MIXED + 7.0, TOL, hint=hint)
+    assert calls == []
+    for mix, given in ((sol.row_strategy, hint.row_strategy),
+                       (sol.col_strategy, hint.col_strategy)):
+        assert np.array_equal(mix, given)
+        assert mix is not given and not np.shares_memory(mix, given)
+    assert abs(sol.value - (hint.value + 7.0)) <= 2 * TOL
+    assert sol.duality_gap <= TOL
+    assert certificate_holds(_MIXED + 7.0, sol)
+
+
+def test_exact_pure_saddle_beats_a_hint_that_certifies(monkeypatch):
+    # the hint's own gap is within tol, but the pure pair comes first and
+    # is an exact saddle: value 1 at gap 0
+    A = np.array([[1.0, 2.0], [0.0, 3.0]])
+    s = np.array([1.0 - 1e-12, 1e-12])
+    assert game_module._certify(A, s, s).duality_gap <= TOL
+    _forbid_lp(monkeypatch)
+    sol = solve_matrix_game(A, TOL, hint=MatrixGameSolution(1.0, s, s.copy(), 0.0))
+    assert sol.value == 1.0
+    assert sol.duality_gap == 0.0
+    assert sol.row_strategy.tolist() == [1.0, 0.0]
+    assert sol.col_strategy.tolist() == [1.0, 0.0]
+
+
+def test_hint_that_no_longer_certifies_gets_its_support_solve():
+    # the hint's strategies are 1e-3 off for the perturbed game, but their
+    # supports are right: the result is the support solve, bit for bit
+    hint = solve_matrix_game(_MIXED, TOL)
+    A = _MIXED + np.random.default_rng(7).uniform(-1e-3, 1e-3, _MIXED.shape)
+    assert game_module._certify(A, hint.row_strategy, hint.col_strategy).duality_gap > TOL
+    sol = solve_matrix_game(A, TOL, hint=hint)
+    expected = game_module._support_solve(A, hint)
+    assert sol.value == expected.value
+    assert sol.duality_gap == expected.duality_gap <= TOL
+    assert np.array_equal(sol.row_strategy, expected.row_strategy)
+    assert np.array_equal(sol.col_strategy, expected.col_strategy)
 
 
 def test_pure_pair_candidate_is_its_own_certificate(monkeypatch):

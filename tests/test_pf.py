@@ -141,6 +141,86 @@ def test_map_input_checks(call, error, match):
         call()
 
 
+_OK = (1.0, 2.0)
+
+
+@pytest.mark.parametrize("families, match", [
+    ([[], [_OK]], "coordinate 0 has no weight vectors"),
+    ([[_OK], [_OK, (1.0,)]], "weight vector of wrong length in coordinate 1"),
+    ([[_OK, (1.0, math.nan)], [_OK]], "non-finite weight in coordinate 0"),
+    ([[_OK], [(-math.inf, 1.0)]], "non-finite weight in coordinate 1"),
+    ([[_OK], [_OK, (2.0, -1.0)]], "negative weight in coordinate 1"),
+    ([[(0.0, 0.0)], [_OK]], "all-zero weight vector in coordinate 0"),
+    # the first failing vector reports, coordinates first, then vectors
+    ([[_OK, (-1.0, 1.0)], []], "negative weight in coordinate 0"),
+    ([[_OK, (-1.0, 1.0)], [(1.0,)]], "negative weight in coordinate 0"),
+    ([[(0.0, 0.0), (1.0,)], [_OK]], "all-zero weight vector in coordinate 0"),
+    ([[(1.0,), (0.0, 0.0)], [_OK]], "weight vector of wrong length in coordinate 0"),
+    ([[(1.0, 1.0, 1.0)], [], [(1.0,)]], "coordinate 1 has no weight vectors"),
+    # and of one vector's failures, the first check in this order
+    ([[_OK], [(-1.0, math.nan)]], "non-finite weight in coordinate 1"),
+    ([[(-1.0, 0.0)], [_OK]], "negative weight in coordinate 0"),
+], ids=["empty", "wrong-length", "nan", "infinite", "negative", "all-zero",
+        "value-before-empty", "value-before-length", "vector-order-zero",
+        "vector-order-length", "empty-before-length", "nan-before-negative",
+        "negative-before-zero"])
+def test_bad_weight_families(families, match):
+    with pytest.raises(GameSpecError, match=f"^{match}"):
+        max_linear(families)
+
+
+def _first_weight_failure(families, d):
+    """The per-vector checks, one weight at a time, in the order the map
+    reports them: a test oracle for the whole-array checks."""
+    for i, fam in enumerate(families):
+        if len(fam) == 0:
+            return f"coordinate {i} has no weight vectors"
+        for p in fam:
+            if len(p) != d:
+                return f"weight vector of wrong length in coordinate {i}"
+            if not all(map(math.isfinite, p)):
+                return f"non-finite weight in coordinate {i}"
+            if min(p) < 0:
+                return f"negative weight in coordinate {i}"
+            if max(p) <= 0:
+                return f"all-zero weight vector in coordinate {i}"
+    return None
+
+
+def test_weight_checks_report_the_first_failure_of_the_per_vector_loop():
+    rng = np.random.default_rng(61)
+    faults = [(), (1.0,), (math.nan, 1.0, 1.0), (1.0, math.inf, 0.0),
+              (0.5, -0.5, 1.0), (0.0, 0.0, 0.0)]
+    failing = 0
+    for _ in range(300):
+        families = []
+        for _ in range(3):
+            fam = [tuple(rng.uniform(0.0, 1.0, 3)) for _ in range(rng.integers(0, 4))]
+            for j in range(len(fam)):
+                if rng.random() < 0.1:
+                    fam[j] = faults[rng.integers(len(faults))]
+            families.append(fam)
+        expected = _first_weight_failure(families, 3)
+        if expected is None:
+            assert min_linear(families).weights == tuple(map(tuple, families))
+            continue
+        failing += 1
+        with pytest.raises(GameSpecError) as err:
+            min_linear(families)
+        assert str(err.value).startswith(expected)
+    assert failing > 150
+
+
+def test_weights_are_stored_as_float_tuples():
+    T = MonotoneMap(d=2, kind="minLinear", weights=[[[1, 2]], np.array([[3, 4], [5, 6]])])
+    assert T.weights == (((1.0, 2.0),), ((3.0, 4.0), (5.0, 6.0)))
+    assert all(type(x) is float for fam in T.weights for p in fam for x in p)
+    with pytest.raises(TypeError, match="weights must be numbers"):
+        min_linear([[[[1.0], 1.0]], [_OK]])
+    with pytest.raises(TypeError, match="weights must be numbers"):
+        min_linear([[(10 ** 400, 1.0)], [_OK]])
+
+
 def test_weight_array_leaves_equality_hash_and_repr_alone():
     # the padded array is built at construction from the weights alone, so
     # maps built from equal weights in other containers compare and hash

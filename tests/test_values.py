@@ -71,6 +71,32 @@ def test_value_iteration_matches_unhinted_loop(common_limit_ops):
         assert np.abs(value_iteration(op, n) - f / n).max() <= 2 * TOL
 
 
+@pytest.mark.parametrize("seed", [101, 303])
+def test_value_iteration_within_tol_of_an_unhinted_orbit(seed, monkeypatch):
+    # a hint that still certifies is returned with its own gap, up to tol,
+    # where the support solve reaches ~1e-16.  Each apply moves the orbit
+    # by at most its gap and the operator is nonexpansive, so the n-stage
+    # values stay within tol, plus the unhinted gaps, of an unhinted orbit
+    op = ShapleyOperator(bench.random_discretized_game(np.random.default_rng(seed),
+                                                       states=3), tol=TOL)
+    n = 100
+    f, slack = np.zeros(op.dim), 0.0
+    for _ in range(n):
+        f, gaps, _ = op.apply_with_gaps(f)
+        slack += gaps.max()
+    solves = []
+    real = game_module._support_solve
+
+    def support_solve(A, sol):
+        solves.append(A.shape)
+        return real(A, sol)
+
+    monkeypatch.setattr(game_module, "_support_solve", support_solve)
+    assert np.abs(value_iteration(op, n) - f / n).max() <= TOL + slack / n
+    # most hinted solves return their hint's strategies, with no support solve
+    assert len(solves) < n
+
+
 def test_value_iteration_warm_start_skips_lps(common_limit_ops, monkeypatch):
     # guards the warm start: without hints every iterate of a state that is
     # not a pure saddle would solve an LP (up to 600 per game here)
