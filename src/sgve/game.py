@@ -6,7 +6,9 @@ holding dense payoff and transition tensors over uniform action grids.  The
 kernel of everything downstream is :func:`solve_matrix_game`, which returns a
 gap-certified mixed value of a finite zero-sum matrix game, reusing the
 strategies of a previous solution, or else their supports, when they still
-certify.
+certify.  It computes a candidate only when every one before it missed the
+tolerance: a solver's solution that certifies is returned without the
+support solve that would refine it.
 """
 from __future__ import annotations
 
@@ -240,14 +242,28 @@ def discretize(spec: GameSpec, resolution: int) -> DiscretizedGame:
     )
 
 
+def _half_width(lower: float, upper: float) -> float:
+    """The duality gap of the bracket [lower, upper]: their difference
+    could overflow, so each end is halved first."""
+    return max(0.5 * upper - 0.5 * lower, 0.0)
+
+
 def _bracketed(p: np.ndarray, q: np.ndarray, lower: float,
                upper: float) -> MatrixGameSolution:
     """(p, q) guaranteeing ``lower`` (p against every column) and ``upper``
     (q against every row).  A closed bracket's value is its end: halving
-    the sum of the two ends could overflow, and so could their difference,
-    so the gap halves each end first."""
+    the sum of the two ends could overflow."""
     value = lower if lower == upper else 0.5 * (lower + upper)
-    return MatrixGameSolution(value, p, q, max(0.5 * upper - 0.5 * lower, 0.0))
+    return MatrixGameSolution(value, p, q, _half_width(lower, upper))
+
+
+def _pure_pair(A: np.ndarray, i, j, lower: float, upper: float) -> MatrixGameSolution:
+    """Row i against column j of A, with the bracket they guarantee."""
+    p = np.zeros(A.shape[0])
+    p[i] = 1.0
+    q = np.zeros(A.shape[1])
+    q[j] = 1.0
+    return _bracketed(p, q, lower, upper)
 
 
 # the kernel calls ufunc reductions and basic indexing directly, as pf's
@@ -277,7 +293,7 @@ _LARGE_ENTRY = 1e15
 def _scaled(A: np.ndarray) -> np.ndarray:
     """A, or A times the power of two that brings its entries below 1 if
     one is ``_LARGE_ENTRY`` or more: optimal strategies ignore the scale."""
-    largest = np.abs(A).max()
+    largest = np.maximum.reduce(np.abs(A), axis=None)
     return np.ldexp(A, -math.frexp(largest)[1]) if largest >= _LARGE_ENTRY else A
 
 
@@ -396,8 +412,8 @@ def _tableau_solve(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     m, n = B.shape
     S = _scaled(B)
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = S - S.min() + 1.0
-    T[:m, n:n + m] = np.eye(m)
+    T[:m, :n] = S - np.minimum.reduce(S, axis=None) + 1.0
+    T.reshape(-1)[n:m * (n + m + 2):n + m + 2] = 1.0  # the slacks' identity
     T[:m, -1] = 1.0
     T[m, :n] = -1.0
     basis = np.arange(n, n + m)
@@ -412,9 +428,8 @@ def _tableau_solve(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         if bland:  # Bland's rule: the first improving column
             e = (costs < -1e-12).argmax()
         col = T[:m, e]
-        ratios = np.full(m, np.inf)
-        pos = col > 1e-12
-        ratios[pos] = np.maximum(T[:m, -1][pos], 0.0) / col[pos]
+        ratios = np.divide(np.maximum(T[:m, -1], 0.0), col,
+                           out=np.full(m, np.inf), where=col > 1e-12)
         r = ratios.argmin()
         if bland:  # of the tied rows, the one with the first basic variable
             ties = np.flatnonzero(ratios == ratios[r])
@@ -457,26 +472,30 @@ def _double_oracle(A: np.ndarray, start: MatrixGameSolution):
             return
 
 
-def _candidate_batches(A: np.ndarray, hint: MatrixGameSolution | None,
-                       pure: MatrixGameSolution, tol: float):
+def _candidates(A: np.ndarray, hint: MatrixGameSolution | None, pure: tuple,
+                tol: float):
     """The sources of :func:`solve_matrix_game` after the pure pair, in
-    order, one batch of candidates per step."""
+    order, one candidate (or None) at a time.  ``pure`` holds the pure
+    pair's row, column and bracket, for :func:`_pure_pair` to build it only
+    if double oracle starts from it."""
     if hint is not None:
         # copies: the solution returned shares no array with the hint.  The
         # gap is tested first: it is what fails on the hints of a discounted
         # iteration, which would otherwise pay for both tests
         sol = _certify(A, hint.row_strategy.astype(float), hint.col_strategy.astype(float))
         if sol.duality_gap <= tol and _is_mix(sol.row_strategy) and _is_mix(sol.col_strategy):
-            yield [sol]
-        yield [_support_solve(A, hint)]
-    oracle = (_double_oracle(A, pure if hint is None else hint)
+            yield sol
+        yield _support_solve(A, hint)
+    oracle = (_double_oracle(A, _pure_pair(A, *pure) if hint is None else hint)
               if min(A.shape) > _DO_CROSSOVER else ())
     mixes = (solve(A) for solve in (_tableau_solve, _lp_solve))
     whole = (_certify(A, *m) for m in mixes if m is not None)
     # degenerate games can leave a basic solution with a gap far above
-    # machine precision; the support solve often repairs it
+    # machine precision; the support solve on its supports, which the
+    # stream reaches only if that gap misses tol, often repairs it
     for sol in itertools.chain(oracle, whole):
-        yield [sol, _support_solve(A, sol)]
+        yield sol
+        yield _support_solve(A, sol)
 
 
 def solve_matrix_game(A, tol: float = 1e-9,
@@ -495,12 +514,13 @@ def solve_matrix_game(A, tol: float = 1e-9,
     both have more than ``_DO_CROSSOVER`` actions, the rounds of
     :func:`_double_oracle` from the hint's supports, else the pure pair's;
     the numpy simplex :func:`_tableau_solve` on the whole matrix; and last
-    one HiGHS LP, :func:`_lp_solve`.  Each double-oracle round, the simplex and the LP
-    add their solution and the equalizing strategies on its supports.  The
-    candidate with the smallest gap is kept (ties go to the earlier one)
-    and returned as soon as its gap is within ``tol``; only then does the
-    stream stop, so a game that the simplex certifies imports no
-    ``scipy.optimize``.
+    one HiGHS LP, :func:`_lp_solve`.  Each double-oracle round, the simplex
+    and the LP add their solution, then the equalizing strategies on its
+    supports.  The stream stops at the first candidate whose gap is within
+    ``tol`` and returns it, the best so far, since every candidate before
+    it missed ``tol``.  A candidate is computed only when the stream
+    reaches it, so a solution that certifies gets no support solve, and a
+    game that the simplex certifies imports no ``scipy.optimize``.
     Raises :class:`MatrixGameError` if the hint's strategy lengths do not
     match A, or if no candidate certifies a duality gap within ``tol``;
     the error's ``best_gap`` is then the smallest gap reached.
@@ -519,27 +539,21 @@ def solve_matrix_game(A, tol: float = 1e-9,
             f"{np.shape(hint.col_strategy)} do not fit a {A.shape} payoff matrix")
 
     # the pure pair, maximin row against minimax column, opens the stream:
-    # its bracket is the row minimum and column maximum it is built from
+    # its bracket is the row minimum and column maximum it is built from,
+    # and its strategies are built only if it is returned
     row_min = np.minimum.reduce(A, axis=1)
     col_max = np.maximum.reduce(A, axis=0)
     i, j = row_min.argmax(), col_max.argmin()
-    p = np.zeros(A.shape[0])
-    p[i] = 1.0
-    q = np.zeros(A.shape[1])
-    q[j] = 1.0
-    best = _bracketed(p, q, float(row_min[i]), float(col_max[j]))
-    if best.duality_gap <= tol:
-        return best
-    batches = _candidate_batches(A, hint, best, tol)
-    while best.duality_gap > tol:
-        found = next(batches, None)
-        if found is None:
-            raise MatrixGameError("could not certify requested duality gap",
-                                  best_gap=best.duality_gap)
-        for sol in found:
-            if sol is not None and sol.duality_gap < best.duality_gap:
-                best = sol
-    return best
+    lower, upper = float(row_min[i]), float(col_max[j])
+    best_gap = _half_width(lower, upper)
+    if best_gap <= tol:
+        return _pure_pair(A, i, j, lower, upper)
+    for sol in _candidates(A, hint, (i, j, lower, upper), tol):
+        if sol is not None and sol.duality_gap < best_gap:
+            best_gap = sol.duality_gap
+            if best_gap <= tol:
+                return sol
+    raise MatrixGameError("could not certify requested duality gap", best_gap=best_gap)
 
 
 def matrix_game_bruteforce(A, max_size: int = 6) -> float:

@@ -40,7 +40,10 @@ def _box_from(node, who: str) -> tuple[tuple[float, float], ...]:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                            for v in pair)):
             raise GameSpecError(f"actions.{who}: bad bounds entry {pair!r}")
-        box.append((float(pair[0]), float(pair[1])))
+        try:
+            box.append((float(pair[0]), float(pair[1])))
+        except OverflowError:  # an integer beyond the float range
+            raise GameSpecError(f"actions.{who}: bound beyond the float range") from None
     return tuple(box)
 
 

@@ -39,7 +39,7 @@ class ShapleyOperator:
     """Evaluates the per-state matrix games of a discretized game.
 
     ``tol`` is the duality-gap tolerance passed to the matrix-game solver
-    for every state, whatever the form.
+    for every state, whatever the form; it must be positive.
     """
     game: DiscretizedGame
     form: str = "general"
@@ -48,6 +48,8 @@ class ShapleyOperator:
     def __post_init__(self):
         if self.form not in FORMS:
             raise GameSpecError(f"unknown operator form {self.form!r}")
+        if not self.tol > 0:  # NaN too
+            raise GameSpecError(f"operator tol must be positive, got {self.tol}")
         tags = self.game.controller
         if self.form in ("mdp", "perfectInfo", "switching"):
             if tags is None or any(t not in ("p1", "p2") for t in tags):

@@ -142,6 +142,7 @@ def test_solve_missing_file(capsys):
     {"states": True},
     {"actions": {"x": [[False, True]], "y": [[0, 1]]}},
     {"actions": {"x": 5, "y": [[0, 1]]}},  # actions.x is not a list
+    {"actions": {"x": [[0, 10 ** 400]], "y": [[0, 1]]}},  # beyond the float range
 ])
 def test_solve_invalid_game_exits_2(tmp_path, capsys, change):
     path = tmp_path / "game.json"

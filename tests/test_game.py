@@ -568,6 +568,55 @@ def test_hint_that_no_longer_certifies_gets_its_support_solve():
     assert np.array_equal(sol.col_strategy, expected.col_strategy)
 
 
+def _count_support_solves(monkeypatch):
+    """Patches ``_support_solve`` to record the solutions it is given."""
+    seen = []
+    real = game_module._support_solve
+
+    def support_solve(A, sol):
+        seen.append(sol)
+        return real(A, sol)
+
+    monkeypatch.setattr(game_module, "_support_solve", support_solve)
+    return seen
+
+
+def test_cold_solution_that_certifies_gets_no_support_solve(monkeypatch):
+    # the whole-matrix tableau certifies _MIXED: its own strategies are
+    # returned, and the support solve that would follow them never runs
+    seen = _count_support_solves(monkeypatch)
+    _forbid_lp(monkeypatch)
+    sol = solve_matrix_game(_MIXED, TOL)
+    assert seen == []
+    p, q = game_module._tableau_solve(_MIXED)
+    assert np.array_equal(sol.row_strategy, p)
+    assert np.array_equal(sol.col_strategy, q)
+    expected = game_module._certify(_MIXED, p, q)
+    assert sol.value == expected.value
+    assert sol.duality_gap == expected.duality_gap <= TOL
+    assert certificate_holds(_MIXED, sol)
+
+
+def test_degenerate_tableau_solution_that_misses_tol_gets_its_support_solve(monkeypatch):
+    # the {-1, 0, 1} game of the pivot-cap test: its degenerate basic
+    # solution stops at a gap of ~2e-16, above a tol of 1e-16, and the
+    # support solve on its supports, which follows it, certifies gap 0
+    A = np.random.default_rng(41).integers(-1, 2, (10, 10)).astype(float)
+    tol = 1e-16
+    tableau = game_module._certify(A, *game_module._tableau_solve(A))
+    assert tableau.duality_gap > tol
+    seen = _count_support_solves(monkeypatch)
+    _forbid_lp(monkeypatch)
+    sol = solve_matrix_game(A, tol)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0].row_strategy, tableau.row_strategy)
+    assert np.array_equal(seen[0].col_strategy, tableau.col_strategy)
+    expected = game_module._support_solve(A, tableau)
+    assert sol.value == expected.value
+    assert sol.duality_gap == expected.duality_gap <= tol
+    assert certificate_holds(A, sol)
+
+
 def test_pure_pair_candidate_is_its_own_certificate(monkeypatch):
     # at an unbounded tol the pure pair, the first candidate, is returned;
     # its hand-built bracket must be what _certify computes for it

@@ -227,6 +227,13 @@ def test_form_tag_validation():
         ShapleyOperator(game, form="makeBelieve")
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_nonpositive_or_nan_tol_is_rejected_at_construction(tol):
+    # not at the first apply, where the kernel would raise MatrixGameError
+    with pytest.raises(GameSpecError, match="tol must be positive"):
+        ShapleyOperator(constant_game(2, 1.0), tol=tol)
+
+
 def test_properties_on_translation_pair():
     rng = np.random.default_rng(1)
     op = ShapleyOperator(random_game(rng), tol=TOL)
