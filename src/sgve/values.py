@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,23 +48,70 @@ def _horizon(n) -> int:
         raise ValueError(f"horizon {n!r} is not an integer") from None
 
 
+def _n_stage_values(op: ShapleyOperator, horizons: list[int]) -> dict[int, np.ndarray]:
+    """The n-stage values v_n = T^n(0) / n at positive ``horizons``, off one
+    hinted orbit x_0 = 0, x_{t+1} = Psi(x_t), which stops once every horizon
+    has its value.
+
+    Each application comes with per-state gaps g_t, and the exact T(x_t)
+    lies within g_t of x_{t+1}.  So with s = x_{t+1} - x_t, lo = min(s - g_t)
+    and hi = max(s + g_t), x_t + lo <= T(x_t) <= x_t + hi, and T, monotone
+    and additively homogeneous, keeps T^m(x_t) in x_t + m[lo, hi] coordinate
+    by coordinate.  T is nonexpansive and x_t is within D_t = sum_{r<t}
+    max g_r of T^t(0), so for a horizon n > t + 1 the continuation
+    (x_t + (n - t) s) / n of the last step is within
+    D_t / n + (n - t) / n * max_k max(s_k - lo, hi - s_k) of the exact v_n.
+    Once that bound is within ``op.tol`` (the orbit has settled on an
+    invariant half-line, Kohlberg 1980) it is n's value.  Every other
+    horizon gets the plain orbit's x_n / n, itself within the mean gap of
+    the exact v_n.
+    """
+    pending = sorted(horizons)
+    out = {}
+    x, hints, drift = np.zeros(op.dim), None, 0.0
+    for t in count():
+        nxt, gaps, hints = op.apply_with_gaps(x, hints)
+        if pending[0] == t + 1:
+            out[pending.pop(0)] = nxt / (t + 1)
+        if pending:
+            s = nxt - x
+            lo, hi = float((s - gaps).min()), float((s + gaps).max())
+            width = max(float(s.max()) - lo, hi - float(s.min()))
+            for n in pending:
+                if drift / n + (n - t) / n * width <= op.tol:
+                    out[n] = (x + (n - t) * s) / n
+            pending = [n for n in pending if n not in out]
+        if not pending:
+            return out
+        x, drift = nxt, drift + float(gaps.max())
+
+
 def value_iteration(op: ShapleyOperator, n: int) -> np.ndarray:
-    """Value of the n-stage averaged game: n hinted operator applications
-    to 0, divided by n."""
+    """Value of the n-stage averaged game, within ``op.tol`` of the exact
+    T^n(0) / n.
+
+    The hinted orbit of 0 stops at the first step whose certified box
+    around v_n is within ``op.tol`` and returns the continuation of that
+    step (see :func:`_n_stage_values`); where the box never closes, as
+    where the value depends on the initial state, it is the plain orbit:
+    n hinted applications to 0, divided by n.
+    """
     n = _horizon(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return next(islice(_orbit(op), n, None)) / n
+    return _n_stage_values(op, [n])[n]
 
 
 def n_stage_series(op: ShapleyOperator, ns: Sequence[int]) -> list[tuple[int, np.ndarray]]:
-    """n-stage values at several horizons in a single iteration pass, with
-    the same hinted applications as :func:`value_iteration`."""
+    """n-stage values at several horizons, in increasing order, off a single
+    orbit: each is ``np.array_equal`` to :func:`value_iteration` at its
+    horizon, within ``op.tol`` of the exact value, and the plain orbit's
+    wherever its box does not close."""
     wanted = set(map(_horizon, ns))
     if not wanted or min(wanted) < 1:
         raise ValueError("horizons must be positive")
-    return [(n, f / n) for n, f in enumerate(islice(_orbit(op), max(wanted) + 1))
-            if n in wanted]
+    values = _n_stage_values(op, list(wanted))
+    return [(n, values[n]) for n in sorted(wanted)]
 
 
 @dataclass(frozen=True)

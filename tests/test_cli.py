@@ -126,6 +126,25 @@ def test_solve_n_stage_constant_game(tmp_path, capsys):
             assert float(line.split()[-1]) == pytest.approx(0.5, abs=1e-9)
 
 
+def test_solve_n_stage_stops_on_the_half_line(monkeypatch, capsys):
+    # a billion-stage horizon costs the applies until the orbit's box
+    # closes; the absorbing state's value stays exactly 0
+    calls = []
+    real = values_module.ShapleyOperator.apply_with_gaps
+
+    def apply_with_gaps(self, f, hints=None):
+        calls.append(1)
+        return real(self, f, hints)
+
+    monkeypatch.setattr(values_module.ShapleyOperator, "apply_with_gaps", apply_with_gaps)
+    assert main(["solve", "bench:exshap", "--n", "1000000000", "--resolution", "21"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "state 0: 0.0"
+    assert abs(float(lines[1].split()[-1])) <= 1e-6  # the tol of the solve
+    assert lines[2] == "iterations: 1000000000"
+    assert len(calls) <= 100
+
+
 def test_solve_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

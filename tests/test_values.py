@@ -123,6 +123,111 @@ def test_n_stage_series_matches_value_iteration(exshap_op_coarse):
     assert sorted(dict(n_stage_series(exshap_op_coarse, np.array([1, 3, 5])))) == [1, 3, 5]
 
 
+def count_applies(monkeypatch) -> list[ShapleyOperator]:
+    """The operators of every apply made from here on, one entry each."""
+    calls = []
+    real = ShapleyOperator.apply_with_gaps
+
+    def apply_with_gaps(self, f, hints=None):
+        calls.append(self)
+        return real(self, f, hints)
+
+    monkeypatch.setattr(ShapleyOperator, "apply_with_gaps", apply_with_gaps)
+    return calls
+
+
+def plain_orbit(op: ShapleyOperator, n: int) -> np.ndarray:
+    """n hinted applications to 0, divided by n, with no early stop."""
+    f, hints = np.zeros(op.dim), None
+    for _ in range(n):
+        f, _, hints = op.apply_with_gaps(f, hints)
+    return f / n
+
+
+def random_small_horizon_op(seed: int) -> ShapleyOperator:
+    """A 3-state game shaped like perfbench's random-small horizon game:
+    payoffs uniform in [0, 2] on 5x5, 1x4 and 4x5 stage games, Dirichlet
+    transition rows."""
+    rng = np.random.default_rng(seed)
+    shapes = ((5, 5), (1, 4), (4, 5))
+    game = DiscretizedGame(
+        states=3,
+        grids_x=tuple(np.linspace(0, 1, nx)[:, None] for nx, _ in shapes),
+        grids_y=tuple(np.linspace(0, 1, ny)[:, None] for _, ny in shapes),
+        g=tuple(rng.uniform(0.0, 2.0, s) for s in shapes),
+        rho=tuple(rng.dirichlet(np.full(3, 4.0), s) for s in shapes))
+    return ShapleyOperator(game, tol=TOL)
+
+
+def absorbing_op() -> ShapleyOperator:
+    """Two absorbing states paying 0 and 1 and a payoff-free 2x2 state whose
+    action pair (i, j) moves to the paying one with probability I[i, j],
+    else to the other: values (0, 1, 1/2), which depend on the state."""
+    grids = (np.zeros((1, 1)), np.zeros((1, 1)), np.linspace(0, 1, 2)[:, None])
+    game = DiscretizedGame(
+        states=3, grids_x=grids, grids_y=grids,
+        g=(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((2, 2))),
+        rho=(np.eye(3)[0].reshape(1, 1, 3), np.eye(3)[1].reshape(1, 1, 3),
+             np.stack([1.0 - np.eye(2), np.eye(2), np.zeros((2, 2))], axis=2)))
+    return ShapleyOperator(game, tol=TOL)
+
+
+def test_value_iteration_stops_on_the_half_line(common_limit_ops, monkeypatch):
+    # the orbits of these games settle on a half-line x + s*eta within 40
+    # steps, and the continuation of that step is within tol of v_4096
+    n = 4096
+    for op in [*common_limit_ops, random_small_horizon_op(3001)]:
+        plain = plain_orbit(op, n)
+        calls = count_applies(monkeypatch)
+        v = value_iteration(op, n)
+        monkeypatch.undo()
+        assert len(calls) <= 40
+        assert np.abs(v - plain).max() <= op.tol
+
+
+def test_state_dependent_values_keep_the_plain_orbit(monkeypatch):
+    # x_t = (0, t, (t - 1) / 2): the step spread never closes the box
+    op = absorbing_op()
+    n = 60
+    plain = plain_orbit(op, n)
+    assert np.allclose(plain * n, [0, n, (n - 1) / 2])
+    calls = count_applies(monkeypatch)
+    assert np.array_equal(value_iteration(op, n), plain)
+    assert len(calls) == n
+    assert np.array_equal(dict(n_stage_series(op, [5, n]))[n], plain)
+
+
+def test_n_stage_series_matches_value_iteration_across_the_early_stop(
+        common_limit_ops, monkeypatch):
+    op = common_limit_ops[0]
+    calls = count_applies(monkeypatch)
+    value_iteration(op, 4096)
+    t = len(calls) - 1  # the step whose box closed
+    monkeypatch.undo()
+    horizons = [1, 2, t, t + 1, 200, 4096]
+    series = n_stage_series(op, horizons)
+    assert [n for n, _ in series] == horizons
+    for n, vn in series:
+        assert np.array_equal(vn, value_iteration(op, n))
+
+
+def test_iterate_deviation_check_iterates_the_whole_orbit(common_limit_ops, monkeypatch):
+    # it checks the orbit itself, so it takes no early stop
+    op1, op2 = common_limit_ops[:2]
+    samples = []
+
+    def operator_distance(a, b, extra_samples=()):
+        samples.extend(extra_samples)
+        return 1.0
+
+    monkeypatch.setattr(values_module, "operator_distance", operator_distance)
+    calls = count_applies(monkeypatch)
+    n = 100
+    assert iterate_deviation_check(op1, op2, n).passed
+    assert [sum(c is op for c in calls) for op in (op1, op2)] == [n, n]
+    assert len(samples) == 2 * n
+
+
 def test_discounted_benchmark_closed_form(exshap_op):
     v = discounted_value(exshap_op, 0.5, eps=1e-5)
     assert v[0] == 0.0
