@@ -12,7 +12,8 @@ from .errors import (EvalDomainError, ExprSyntaxError, GameSpecError,
                      SgveError, UnknownVariableError)
 from .expr import evaluate, parse, to_string
 from .game import (DiscretizedGame, GameSpec, MatrixGameSolution, discretize,
-                   matrix_game_bruteforce, solve_matrix_game, uniform_grid)
+                   matrix_game_bruteforce, solve_matrix_game,
+                   solve_matrix_game_stack, uniform_grid)
 from .parametric import (ConvexGameSpec, SeparableSpec, convex_value,
                          mckinsey_grid_value, mckinsey_value, separable_value)
 from .pf import (MonotoneMap, check_cone_properties, explicit_map, growth_rate,
@@ -30,7 +31,8 @@ __all__ = [
     "GameSpecError", "MatrixGameError", "IterationBudgetError", "PositivityError",
     "parse", "evaluate", "to_string",
     "GameSpec", "DiscretizedGame", "MatrixGameSolution", "uniform_grid",
-    "discretize", "solve_matrix_game", "matrix_game_bruteforce",
+    "discretize", "solve_matrix_game", "solve_matrix_game_stack",
+    "matrix_game_bruteforce",
     "ShapleyOperator", "PropertyReport", "check_properties",
     "value_iteration", "n_stage_series", "discounted_value",
     "discounted_value_detailed", "vanishing_discount", "PowerLawFit",

@@ -26,7 +26,7 @@ from .errors import EvalDomainError, GameSpecError, MatrixGameError
 __all__ = [
     "GameSpec", "DiscretizedGame", "MatrixGameSolution",
     "action_variables", "uniform_grid", "discretize",
-    "solve_matrix_game", "matrix_game_bruteforce",
+    "solve_matrix_game", "solve_matrix_game_stack", "matrix_game_bruteforce",
 ]
 
 # pre-normalization row-sum deviations beyond this signal a wrong transition
@@ -554,6 +554,54 @@ def solve_matrix_game(A, tol: float = 1e-9,
             if best_gap <= tol:
                 return sol
     raise MatrixGameError("could not certify requested duality gap", best_gap=best_gap)
+
+
+def solve_matrix_game_stack(As, tol: float = 1e-9, hint: MatrixGameSolution | None = None,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Values and certified duality gaps of a stack of same-shape matrix
+    games that share one hint, each ``np.array_equal`` to
+    ``solve_matrix_game(As[i], tol, hint)``'s value and gap.
+
+    The checks, the pure pairs and the certificate of the hint's own
+    strategies run once for the whole (s, m, n) stack; a game that neither
+    certifies within ``tol`` goes through :func:`solve_matrix_game`.
+    Raises :class:`MatrixGameError` as that does, for any game.
+    """
+    As = np.asarray(As, dtype=float)
+    if As.ndim != 3 or As.size == 0:
+        raise MatrixGameError("payoff stack must be 3-D and nonempty")
+    if not np.logical_and.reduce(np.isfinite(As), axis=None):
+        raise MatrixGameError("payoff stack contains nonfinite entries")
+    if not tol > 0:
+        raise MatrixGameError("tol must be positive")
+    s, m, n = As.shape
+    if hint is not None and (np.shape(hint.row_strategy) != (m,)
+                             or np.shape(hint.col_strategy) != (n,)):
+        raise MatrixGameError(
+            f"hint strategies of lengths {np.shape(hint.row_strategy)} and "
+            f"{np.shape(hint.col_strategy)} do not fit {(m, n)} payoff matrices")
+    # the brackets of each game's pure pair, then of the hint's strategies
+    row_min = np.minimum.reduce(As, axis=2)
+    col_max = np.maximum.reduce(As, axis=1)
+    brackets = [zip(np.maximum.reduce(row_min, axis=1).tolist(),
+                    np.minimum.reduce(col_max, axis=1).tolist())]
+    if hint is not None:
+        p, q = hint.row_strategy.astype(float), hint.col_strategy.astype(float)
+        if _is_mix(p) and _is_mix(q):
+            brackets.append(zip(np.minimum.reduce(p @ As, axis=1).tolist(),
+                                np.maximum.reduce(As @ q, axis=1).tolist()))
+    values, gaps = np.empty(s), np.empty(s)
+    for k, pairs in enumerate(zip(*brackets)):
+        for lower, upper in pairs:
+            gap = _half_width(lower, upper)
+            if gap <= tol:
+                values[k] = lower if lower == upper else 0.5 * (lower + upper)
+                gaps[k] = gap
+                break
+        else:
+            sol = solve_matrix_game(As[k], tol, hint)
+            values[k], gaps[k] = sol.value, sol.duality_gap
+    return values, gaps
 
 
 def matrix_game_bruteforce(A, max_size: int = 6) -> float:

@@ -11,7 +11,7 @@ from sgve import game as game_module
 from sgve.errors import EvalDomainError, GameSpecError, MatrixGameError
 from sgve.game import (DiscretizedGame, GameSpec, MatrixGameSolution,
                        discretize, matrix_game_bruteforce, solve_matrix_game,
-                       uniform_grid)
+                       solve_matrix_game_stack, uniform_grid)
 from sgve.gamefile import game_spec_from_document
 
 TOL = 1e-9
@@ -566,6 +566,70 @@ def test_hint_that_no_longer_certifies_gets_its_support_solve():
     assert sol.duality_gap == expected.duality_gap <= TOL
     assert np.array_equal(sol.row_strategy, expected.row_strategy)
     assert np.array_equal(sol.col_strategy, expected.col_strategy)
+
+
+def _stack_case(rng, case):
+    """A seeded stack of one kind, its hint, and whether its games go on to
+    :func:`solve_matrix_game`."""
+    s = int(rng.integers(1, 6))
+    m, n = (int(k) for k in rng.integers(2, 8, 2))
+    if case == "pure":  # u_i + v_j has a saddle at (argmax u, argmin v)
+        u, v = rng.uniform(-1, 1, (s, m, 1)), rng.uniform(-1, 1, (s, 1, n))
+        return u + v, solve_matrix_game(rng.uniform(-1, 1, (m, n)), TOL), False
+    if case == "thin":  # a single row or a single column
+        return rng.uniform(-1, 1, (s, 1, n) if rng.integers(2) else (s, m, 1)), None, False
+    if case == "no mix":  # strategies summing to 1/2 that bracket a false gap 0
+        hint = MatrixGameSolution(0.75, np.array([0.25, 0.25]), np.array([0.125, 0.375]), 0.0)
+        return np.array([[3.0, 1.0], [0.0, 2.0]]) + rng.uniform(-5, 5, (s, 1, 1)), hint, True
+    # constant shifts of _MIXED, which its own solution certifies, or of
+    # perturbations of it, which neither the pure pairs nor the stale hint
+    # (row 0 against column 0) certify
+    stack = _MIXED + rng.uniform(-5, 5, (s, 1, 1))
+    if case == "certifies":
+        return stack, solve_matrix_game(_MIXED, TOL), False
+    stack += rng.uniform(-1e-2, 1e-2, stack.shape)
+    return stack, None if case == "cold" else MatrixGameSolution(
+        0.0, np.eye(3)[0], np.eye(3)[0], 0.0), True
+
+
+@pytest.mark.parametrize("case", ["pure", "thin", "certifies", "fails", "cold", "no mix"])
+def test_stack_matches_solve_matrix_game_bit_for_bit(monkeypatch, case):
+    fallbacks = []
+
+    def solve(A, tol, hint):
+        fallbacks.append(A.shape)
+        return solve_matrix_game(A, tol, hint)
+
+    monkeypatch.setattr(game_module, "solve_matrix_game", solve)
+    rng = np.random.default_rng(47)
+    expected_fallbacks = 0
+    for _ in range(100):
+        stack, hint, falls = _stack_case(rng, case)
+        values, gaps = solve_matrix_game_stack(stack, TOL, hint)
+        expected_fallbacks += len(stack) if falls else 0
+        assert values.shape == gaps.shape == (len(stack),)
+        for k, A in enumerate(stack):
+            sol = solve_matrix_game(A.copy(), TOL, hint)
+            assert np.array_equal(values[k], sol.value)
+            assert np.array_equal(gaps[k], sol.duality_gap)
+    assert len(fallbacks) == expected_fallbacks
+
+
+def test_stack_rejects_nonfinite_entries_and_misfit_hints():
+    stack = np.stack([_MIXED, _MIXED + 1.0])
+    for bad in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[1, 2, 0] = bad
+        with pytest.raises(MatrixGameError, match="nonfinite"):
+            solve_matrix_game_stack(broken, TOL)
+    hint = solve_matrix_game([[3, 1], [0, 2]], TOL)
+    # the pure pairs of these stacks certify, so only the check can raise
+    for misfit in (np.zeros((2, 3, 2)), np.zeros((2, 2, 3)), np.zeros((1, 1, 1))):
+        with pytest.raises(MatrixGameError, match="hint strategies"):
+            solve_matrix_game_stack(misfit, TOL, hint)
+    for shape in ((3, 3), (0, 2, 2), (2, 0, 3)):
+        with pytest.raises(MatrixGameError, match="3-D and nonempty"):
+            solve_matrix_game_stack(np.zeros(shape), TOL)
 
 
 def _count_support_solves(monkeypatch):

@@ -268,3 +268,82 @@ def test_nonexpansive_against_general_bound():
         g = rng.uniform(-3, 3, 3)
         lhs = np.abs(op.apply(f) - op.apply(g)).max()
         assert lhs <= np.abs(f - g).max() + 2 * TOL
+
+
+def test_apply_stack_rows_equal_apply_with_gaps_bit_for_bit():
+    rng = np.random.default_rng(48)
+    for _ in range(30):
+        op = ShapleyOperator(random_game(rng, d=int(rng.integers(1, 5)), max_actions=8),
+                             tol=TOL)
+        f = rng.uniform(-2, 2, op.dim)
+        _, _, hints = op.apply_with_gaps(f)
+        F = np.vstack([rng.uniform(-2, 2, op.dim), f, f - 2.5, f + 10.0])
+        for h in (hints, None):
+            values, gaps = op.apply_stack(F, h)
+            assert values.shape == gaps.shape == F.shape
+            for row, v, g in zip(F, values, gaps):
+                expected_v, expected_g, _ = op.apply_with_gaps(row, h)
+                assert np.array_equal(v, expected_v)
+                assert np.array_equal(g, expected_g)
+
+
+def test_apply_stack_rejects_bad_rows_and_hints():
+    op = ShapleyOperator(constant_game(2, 1.0), tol=TOL)
+    for F in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(2), np.zeros((0, 2))):
+        with pytest.raises(GameSpecError, match="rows of an"):
+            op.apply_stack(F)
+    for bad in (np.nan, np.inf):
+        F = np.zeros((3, 2))
+        F[1, 0] = bad
+        with pytest.raises(GameSpecError, match="finite"):
+            op.apply_stack(F)
+    _, _, hints = op.apply_with_gaps(np.zeros(2))
+    with pytest.raises(GameSpecError, match="one hint per state"):
+        op.apply_stack(np.zeros((3, 2)), hints[:1])
+
+
+def test_check_properties_makes_two_evaluations_per_pair(monkeypatch):
+    calls = []
+    for name in ("apply_with_gaps", "apply_stack"):
+        def counted(self, *args, _real=getattr(ShapleyOperator, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+
+        monkeypatch.setattr(ShapleyOperator, name, counted)
+    rng = np.random.default_rng(49)
+    op = ShapleyOperator(random_game(rng), tol=TOL)
+    f = rng.uniform(-2, 2, op.dim)
+    pairs = [(f, f + 1.0), (rng.uniform(-2, 2, op.dim), rng.uniform(-2, 2, op.dim)),
+             (f, f.copy())]
+    check_properties(op, pairs)
+    assert calls == ["apply_with_gaps", "apply_stack"] * len(pairs)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_property_pair_at_an_earlier_f_reaches_no_tableau(monkeypatch, shift):
+    # the third pair's f is the first pair's f, or a shift of it, not the
+    # second pair's: its hints are the first pair's solutions, which
+    # certify it, its g (the same vector) and all its shifts
+    tableau = []
+    real = game_module._tableau_solve
+
+    def tableau_solve(B):
+        tableau.append(B.shape)
+        return real(B)
+
+    monkeypatch.setattr(game_module, "_tableau_solve", tableau_solve)
+    rng = np.random.default_rng(50)
+    for _ in range(10):
+        op = ShapleyOperator(random_game(rng, d=int(rng.integers(1, 4)), max_actions=10),
+                             tol=TOL)
+        d = op.dim
+        f = rng.uniform(-2, 2, d)
+        pairs = [(f, f + rng.uniform(0, 2, d)),
+                 (rng.uniform(-2, 2, d), rng.uniform(-2, 2, d)),
+                 (f + shift, f + shift)]
+        start = len(tableau)
+        check_properties(op, pairs[:2])
+        two_pairs = len(tableau) - start
+        report = check_properties(op, pairs)
+        assert len(tableau) - start == 2 * two_pairs
+        assert report.additive_homogeneity <= report.slack(TOL)
