@@ -181,11 +181,12 @@ def _exact_row_sums(r: np.ndarray) -> np.ndarray:
     r = np.maximum(r, 0.0, order="C")
     r /= np.add.reduce(r, axis=-1, keepdims=True)
     rows = r.reshape(-1, r.shape[-1])  # a view: r is a fresh array
+    index = np.arange(len(rows))
     for _ in range(4):
         resid = 1.0 - np.add.reduce(rows, axis=1)
-        if not resid.any():
+        if not np.count_nonzero(resid):
             break
-        rows[np.arange(len(rows)), rows.argmax(axis=1)] += resid
+        rows[index, rows.argmax(axis=1)] += resid
     return r
 
 
@@ -404,10 +405,11 @@ def _tableau_solve(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     A dense tableau simplex on ``max 1^T y`` subject to
     ``(S - min S + 1) y <= 1``, ``y >= 0``, where S is B through
     :func:`_scaled`: the shifted matrix is positive, so the slack basis is
-    feasible and the LP bounded.  Dantzig's rule picks the pivots, Bland's
-    past ``_TABLEAU_PIVOTS`` per action.  The column mix is y and the row mix
-    the duals, the slacks' reduced costs, each normalized by
-    :func:`_exact_row_sums`.
+    feasible and the LP bounded.  The first pivot enters the minimax
+    column, where every reduced cost ties; Dantzig's rule picks the pivots
+    after it, Bland's past ``_TABLEAU_PIVOTS`` per action.  The column mix
+    is y and the row mix the duals, the slacks' reduced costs, each
+    normalized by :func:`_exact_row_sums`.
     """
     m, n = B.shape
     S = _scaled(B)
@@ -417,19 +419,22 @@ def _tableau_solve(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     T[:m, -1] = 1.0
     T[m, :n] = -1.0
     basis = np.arange(n, n + m)
+    costs, rhs = T[m, :-1], T[:m, -1]  # views: T changes in place
+    ratios = np.empty(m)
+    # every reduced cost starts tied at -1; the minimax column, the one
+    # whose largest entry is smallest, gains the most on the first pivot
+    e = np.maximum.reduce(T[:m, :n], axis=0).argmin()
     for pivots in range(_TABLEAU_MAX_PIVOTS * (m + n)):
-        costs = T[m, :-1]
-        e = costs.argmin()  # Dantzig's rule: the steepest improving column
         if costs[e] >= -1e-12:
             y = np.zeros(n + m)
-            y[basis] = T[:m, -1]
+            y[basis] = rhs
             return _exact_row_sums(T[m, n:n + m]), _exact_row_sums(y[:n])
         bland = pivots >= _TABLEAU_PIVOTS * (m + n)
         if bland:  # Bland's rule: the first improving column
             e = (costs < -1e-12).argmax()
         col = T[:m, e]
-        ratios = np.divide(np.maximum(T[:m, -1], 0.0), col,
-                           out=np.full(m, np.inf), where=col > 1e-12)
+        ratios.fill(np.inf)
+        np.divide(np.maximum(rhs, 0.0), col, out=ratios, where=col > 1e-12)
         r = ratios.argmin()
         if bland:  # of the tied rows, the one with the first basic variable
             ties = np.flatnonzero(ratios == ratios[r])
@@ -438,6 +443,7 @@ def _tableau_solve(B: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         T -= T[:, e, None] * pivot
         T[r] = pivot
         basis[r] = e
+        e = costs.argmin()  # Dantzig's rule: the steepest improving column
     return None
 
 
@@ -472,19 +478,12 @@ def _double_oracle(A: np.ndarray, start: MatrixGameSolution):
             return
 
 
-def _candidates(A: np.ndarray, hint: MatrixGameSolution | None, pure: tuple,
-                tol: float):
-    """The sources of :func:`solve_matrix_game` after the pure pair, in
-    order, one candidate (or None) at a time.  ``pure`` holds the pure
-    pair's row, column and bracket, for :func:`_pure_pair` to build it only
-    if double oracle starts from it."""
+def _candidates(A: np.ndarray, hint: MatrixGameSolution | None, pure: tuple):
+    """The sources of :func:`solve_matrix_game` after the pure pair and the
+    hint's own strategies, in order, one candidate (or None) at a time.
+    ``pure`` holds the pure pair's row, column and bracket, for
+    :func:`_pure_pair` to build it only if double oracle starts from it."""
     if hint is not None:
-        # copies: the solution returned shares no array with the hint.  The
-        # gap is tested first: it is what fails on the hints of a discounted
-        # iteration, which would otherwise pay for both tests
-        sol = _certify(A, hint.row_strategy.astype(float), hint.col_strategy.astype(float))
-        if sol.duality_gap <= tol and _is_mix(sol.row_strategy) and _is_mix(sol.col_strategy):
-            yield sol
         yield _support_solve(A, hint)
     oracle = (_double_oracle(A, _pure_pair(A, *pure) if hint is None else hint)
               if min(A.shape) > _DO_CROSSOVER else ())
@@ -496,6 +495,16 @@ def _candidates(A: np.ndarray, hint: MatrixGameSolution | None, pure: tuple,
     for sol in itertools.chain(oracle, whole):
         yield sol
         yield _support_solve(A, sol)
+
+
+def _check_hint(hint: MatrixGameSolution | None, shape: tuple) -> None:
+    """Raise :class:`MatrixGameError` unless ``hint`` is None or its
+    strategies fit payoff matrices of ``shape``."""
+    if hint is not None and (np.shape(hint.row_strategy) != shape[:1]
+                             or np.shape(hint.col_strategy) != shape[1:]):
+        raise MatrixGameError(
+            f"hint strategies of lengths {np.shape(hint.row_strategy)} and "
+            f"{np.shape(hint.col_strategy)} do not fit a {shape} payoff matrix")
 
 
 def solve_matrix_game(A, tol: float = 1e-9,
@@ -532,11 +541,7 @@ def solve_matrix_game(A, tol: float = 1e-9,
         raise MatrixGameError("payoff matrix contains nonfinite entries")
     if not tol > 0:
         raise MatrixGameError("tol must be positive")
-    if hint is not None and (np.shape(hint.row_strategy) != (A.shape[0],)
-                             or np.shape(hint.col_strategy) != (A.shape[1],)):
-        raise MatrixGameError(
-            f"hint strategies of lengths {np.shape(hint.row_strategy)} and "
-            f"{np.shape(hint.col_strategy)} do not fit a {A.shape} payoff matrix")
+    _check_hint(hint, A.shape)
 
     # the pure pair, maximin row against minimax column, opens the stream:
     # its bracket is the row minimum and column maximum it is built from,
@@ -545,10 +550,26 @@ def solve_matrix_game(A, tol: float = 1e-9,
     col_max = np.maximum.reduce(A, axis=0)
     i, j = row_min.argmax(), col_max.argmin()
     lower, upper = float(row_min[i]), float(col_max[j])
-    best_gap = _half_width(lower, upper)
-    if best_gap <= tol:
+    if _half_width(lower, upper) <= tol:
         return _pure_pair(A, i, j, lower, upper)
-    for sol in _candidates(A, hint, (i, j, lower, upper), tol):
+    if hint is not None:
+        # copies: the solution returned shares no array with the hint.  The
+        # gap is tested first: it is what fails on the hints of a discounted
+        # iteration, which would otherwise pay for both tests
+        sol = _certify(A, hint.row_strategy.astype(float), hint.col_strategy.astype(float))
+        if sol.duality_gap <= tol and _is_mix(sol.row_strategy) and _is_mix(sol.col_strategy):
+            return sol
+    return _solve_uncertified(A, tol, hint, (i, j, lower, upper))
+
+
+def _solve_uncertified(A: np.ndarray, tol: float, hint: MatrixGameSolution | None,
+                       pure: tuple) -> MatrixGameSolution:
+    """:func:`solve_matrix_game` on a checked game that neither its pure
+    pair, whose row, column and bracket ``pure`` holds, nor the hint's own
+    strategies certify within ``tol``: the rest of the candidate stream,
+    from the equalizing strategies on the hint's supports on."""
+    best_gap = _half_width(*pure[2:])
+    for sol in _candidates(A, hint, pure):
         if sol is not None and sol.duality_gap < best_gap:
             best_gap = sol.duality_gap
             if best_gap <= tol:
@@ -564,8 +585,9 @@ def solve_matrix_game_stack(As, tol: float = 1e-9, hint: MatrixGameSolution | No
 
     The checks, the pure pairs and the certificate of the hint's own
     strategies run once for the whole (s, m, n) stack; a game that neither
-    certifies within ``tol`` goes through :func:`solve_matrix_game`.
-    Raises :class:`MatrixGameError` as that does, for any game.
+    certifies within ``tol`` goes on where :func:`solve_matrix_game` would,
+    to the rest of its candidate stream.  Raises :class:`MatrixGameError`
+    as that does, for any game.
     """
     As = np.asarray(As, dtype=float)
     if As.ndim != 3 or As.size == 0:
@@ -574,12 +596,7 @@ def solve_matrix_game_stack(As, tol: float = 1e-9, hint: MatrixGameSolution | No
         raise MatrixGameError("payoff stack contains nonfinite entries")
     if not tol > 0:
         raise MatrixGameError("tol must be positive")
-    s, m, n = As.shape
-    if hint is not None and (np.shape(hint.row_strategy) != (m,)
-                             or np.shape(hint.col_strategy) != (n,)):
-        raise MatrixGameError(
-            f"hint strategies of lengths {np.shape(hint.row_strategy)} and "
-            f"{np.shape(hint.col_strategy)} do not fit {(m, n)} payoff matrices")
+    _check_hint(hint, As.shape[1:])
     # the brackets of each game's pure pair, then of the hint's strategies
     row_min = np.minimum.reduce(As, axis=2)
     col_max = np.maximum.reduce(As, axis=1)
@@ -590,7 +607,7 @@ def solve_matrix_game_stack(As, tol: float = 1e-9, hint: MatrixGameSolution | No
         if _is_mix(p) and _is_mix(q):
             brackets.append(zip(np.minimum.reduce(p @ As, axis=1).tolist(),
                                 np.maximum.reduce(As @ q, axis=1).tolist()))
-    values, gaps = np.empty(s), np.empty(s)
+    values, gaps = np.empty(len(As)), np.empty(len(As))
     for k, pairs in enumerate(zip(*brackets)):
         for lower, upper in pairs:
             gap = _half_width(lower, upper)
@@ -599,7 +616,8 @@ def solve_matrix_game_stack(As, tol: float = 1e-9, hint: MatrixGameSolution | No
                 gaps[k] = gap
                 break
         else:
-            sol = solve_matrix_game(As[k], tol, hint)
+            pure = (row_min[k].argmax(), col_max[k].argmin(), *pairs[0])
+            sol = _solve_uncertified(As[k], tol, hint, pure)
             values[k], gaps[k] = sol.value, sol.duality_gap
     return values, gaps
 

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GameSpecError, IterationBudgetError
-from .game import DiscretizedGame, MatrixGameSolution, _exact_row_sums
+from .game import DiscretizedGame, MatrixGameSolution, _check_hint, _exact_row_sums
 from .shapley import ShapleyOperator
 
 __all__ = [
@@ -146,11 +146,31 @@ def _policy_value(game: DiscretizedGame, lam: float,
     return np.linalg.solve(np.eye(game.states) - (1.0 - lam) * P, lam * r)
 
 
+def _checked_profile(op: ShapleyOperator, hints: Sequence[MatrixGameSolution],
+                     ) -> Sequence[MatrixGameSolution]:
+    """``hints`` if they hold one solution per state of ``op`` whose
+    strategies fit that state's payoff matrix; else raises as an
+    application with these hints would."""
+    hints = op._check_hints(hints)
+    for k, (h, g) in enumerate(zip(hints, op.game.g)):
+        if h is None:
+            raise GameSpecError(f"no hint for state {k}")
+        _check_hint(h, g.shape)
+    return hints
+
+
 def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
                               start: np.ndarray | None = None,
                               hints: Sequence[MatrixGameSolution] | None = None,
                               ) -> DiscountedResult:
     """Discounted value, the fixed point of :func:`discounted_apply`, T.
+
+    The iteration starts at ``start`` if it is given, else, if ``hints``
+    are, at the exact lam-discounted value of the stationary profile that
+    plays them (:func:`_policy_value`, one d x d solve), else at 0.  Where
+    that profile is still optimal at lam, as the last one of a nearby
+    discount usually is (Bewley & Kohlberg 1976), the start is the fixed
+    point and one application confirms it.
 
     T contracts with factor (1 - lam), so at a point x the residual
     ``step = |T(x) - x|`` bounds the distance of T(x) to the fixed point
@@ -172,17 +192,24 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
     the gate, and their iterates are the plain contraction's.
 
     ``iterations`` counts operator applications, a rejected candidate's
-    included.  ``hints`` are per-state solutions that hint the first
-    application (see :meth:`ShapleyOperator.apply_with_gaps`); each later
-    one is hinted by the application at the point it moves from.  More than
-    ``MAX_FIXED_POINT_ITERATIONS`` applications raise
+    included.  ``hints`` are per-state solutions, one per state, that hint
+    the first application (see :meth:`ShapleyOperator.apply_with_gaps`);
+    each later one is hinted by the application at the point it moves
+    from.  Hints that do not fit the game raise :class:`GameSpecError` (a
+    missing state) or :class:`MatrixGameError` (a strategy length).  More
+    than ``MAX_FIXED_POINT_ITERATIONS`` applications raise
     :class:`IterationBudgetError`.
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"discount factor must be in (0, 1], got {lam}")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    f = np.zeros(op.dim) if start is None else np.asarray(start, dtype=float).copy()
+    if start is not None:
+        f = np.asarray(start, dtype=float).copy()
+    elif hints is not None:
+        f = _policy_value(op.game, lam, _checked_profile(op, hints))
+    else:
+        f = np.zeros(op.dim)
     last = np.inf  # the step at the point f moved from
     fallback = None  # T(x) and its hints while f is a candidate from x
     for it in range(1, MAX_FIXED_POINT_ITERATIONS + 1):
@@ -294,11 +321,13 @@ def vanishing_discount(op: ShapleyOperator,
     """Sweep the discounted values down a decreasing lambda grid and
     extrapolate their common limit with n-stage values.
 
-    Each fixed point starts from the previous one, moved along the secant
-    through the last two when there are two, and its first application is
-    hinted by the previous one's solutions.  lambda -> v_lambda is smooth
-    for small lambda > 0 (Puiseux series, O(lambda^theta) rates), so the
-    secant start lies close to the next fixed point whatever the limit.
+    Each fixed point after the first is given the previous one's
+    solutions as hints, so it starts at the exact value, at the new
+    lambda, of the stationary profile that ended the previous one (see
+    :func:`discounted_value_detailed`).  For small lambda the optimal
+    stationary profiles of a finite game stay constant on intervals of
+    lambda (Bewley & Kohlberg 1976), so that start is usually the next
+    fixed point, whatever the limit.
     """
     lams = default_lambda_grid() if lam_grid is None else np.asarray(lam_grid, float)
     if len(lams) < 4:
@@ -306,12 +335,8 @@ def vanishing_discount(op: ShapleyOperator,
     if not (np.all(lams > 0) and np.all(np.diff(lams) < 0)):
         raise ValueError("lambda grid must be positive and decreasing")
     values, hints = [], None
-    for j, lam in enumerate(lams):
-        start = values[-1] if j else None
-        if j >= 2:
-            start = start + (values[-1] - values[-2]) * (
-                (lam - lams[j - 1]) / (lams[j - 1] - lams[j - 2]))
-        r = discounted_value_detailed(op, float(lam), eps, start=start, hints=hints)
+    for lam in lams:
+        r = discounted_value_detailed(op, float(lam), eps, hints=hints)
         values.append(r.value)
         hints = r.hints
     return fit_power_law(lams, np.array(values))

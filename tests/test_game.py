@@ -594,25 +594,35 @@ def _stack_case(rng, case):
 
 @pytest.mark.parametrize("case", ["pure", "thin", "certifies", "fails", "cold", "no mix"])
 def test_stack_matches_solve_matrix_game_bit_for_bit(monkeypatch, case):
-    fallbacks = []
+    # a game that neither its pure pair nor the hint's own strategies
+    # certify goes on to the rest of the candidate stream, whichever entry
+    # it came in by; the stack never restarts one from the input checks
+    entered, restarted = [], []
+    real = game_module._solve_uncertified
 
-    def solve(A, tol, hint):
-        fallbacks.append(A.shape)
-        return solve_matrix_game(A, tol, hint)
+    def solve(A, tol, hint, pure):
+        entered.append(A.shape)
+        return real(A, tol, hint, pure)
 
-    monkeypatch.setattr(game_module, "solve_matrix_game", solve)
+    monkeypatch.setattr(game_module, "_solve_uncertified", solve)
+    monkeypatch.setattr(game_module, "solve_matrix_game",
+                        lambda *args: restarted.append(args) or solve_matrix_game(*args))
     rng = np.random.default_rng(47)
-    expected_fallbacks = 0
+    fallbacks = expected_fallbacks = 0
     for _ in range(100):
         stack, hint, falls = _stack_case(rng, case)
+        entered.clear()
         values, gaps = solve_matrix_game_stack(stack, TOL, hint)
+        fallbacks += len(entered)
         expected_fallbacks += len(stack) if falls else 0
         assert values.shape == gaps.shape == (len(stack),)
         for k, A in enumerate(stack):
             sol = solve_matrix_game(A.copy(), TOL, hint)
             assert np.array_equal(values[k], sol.value)
             assert np.array_equal(gaps[k], sol.duality_gap)
-    assert len(fallbacks) == expected_fallbacks
+        assert len(entered) == (2 * len(stack) if falls else 0)
+    assert fallbacks == expected_fallbacks
+    assert restarted == []
 
 
 def test_stack_rejects_nonfinite_entries_and_misfit_hints():

@@ -6,8 +6,8 @@ import pytest
 from sgve import bench
 from sgve import game as game_module
 from sgve import values as values_module
-from sgve.errors import GameSpecError, IterationBudgetError
-from sgve.game import DiscretizedGame, discretize
+from sgve.errors import GameSpecError, IterationBudgetError, MatrixGameError
+from sgve.game import DiscretizedGame, MatrixGameSolution, discretize
 from sgve.shapley import ShapleyOperator
 from sgve.values import (DeviationCheck, PowerLawFit, default_lambda_grid,
                          discounted_value, discounted_value_detailed,
@@ -350,6 +350,39 @@ def test_rejected_candidates_fall_back_to_the_contraction(monkeypatch):
     assert r.error_bound <= 1e-6
 
 
+def test_warm_fixed_point_at_an_optimal_profile_takes_one_application():
+    # the optimal stationary profile of this game is the same at lam = 0.01
+    # and 0.009: the hints of the first fixed point play it, so the second
+    # starts at its exact value, which the closed-form 2x2 operator,
+    # independent of the kernel, maps to itself, and one application meets
+    # the stopping rule
+    game = _two_action_game(5)
+    op = ShapleyOperator(game, tol=TOL)
+    lam = 0.009
+    hints = discounted_value_detailed(op, 0.01, 1e-6).hints
+    w = values_module._policy_value(game, lam, hints)
+    stage = np.stack([lam * g + (1 - lam) * (rho @ w) for g, rho in zip(game.g, game.rho)])
+    assert np.abs(_value_2x2(stage) - w).max() <= 1e-12
+    r = discounted_value_detailed(op, lam, 1e-6, hints=hints)
+    assert r.iterations == 1
+    assert r.error_bound <= 1e-6
+    assert np.abs(r.value - w).max() <= r.error_bound + 2 * TOL
+    # a given start comes before the hints' profile
+    assert discounted_value_detailed(op, lam, 1e-6, start=np.zeros(3),
+                                     hints=hints).iterations > 1
+
+
+def test_hints_that_do_not_fit_raise_before_the_start(exshap_op_coarse):
+    op = exshap_op_coarse
+    hints = discounted_value_detailed(op, 0.5, 1e-6).hints
+    short = MatrixGameSolution(0.0, np.full(3, 1 / 3), np.full(3, 1 / 3), 0.0)
+    for bad, error, match in ((hints[:1], GameSpecError, "one hint per state"),
+                              ((hints[0], None), GameSpecError, "no hint for state 1"),
+                              ((short, hints[1]), MatrixGameError, "hint strategies")):
+        with pytest.raises(error, match=match):
+            discounted_value_detailed(op, 0.4, 1e-6, hints=bad)
+
+
 def test_iteration_budget_counts_candidate_applications(monkeypatch):
     op = ShapleyOperator(_two_action_game(5), tol=TOL)
     n = discounted_value_detailed(op, 1e-3, 1e-6).iterations
@@ -436,18 +469,9 @@ def test_vanishing_discount_benchmark(exshap_op_coarse):
     assert abs(fit.coefficient - target) <= 0.1 * target
 
 
-def test_vanishing_discount_grid_validation(exshap_op_coarse):
-    with pytest.raises(ValueError):
-        vanishing_discount(exshap_op_coarse, lam_grid=[0.5, 0.25, 0.1])
-    with pytest.raises(ValueError):
-        vanishing_discount(exshap_op_coarse, lam_grid=[0.5, 0.25, 0.1, 0.2])
-
-
-def test_vanishing_discount_secant_start_on_a_constant_game(monkeypatch):
-    # v_lam = -1.25 for every lam, a nonzero limit: after the first fixed
-    # point, each start is within eps of the next one, so one application
-    # meets the stopping rule
-    op = constant_operator(3, -1.25)
+def count_fixed_point_iterations(monkeypatch) -> list[int]:
+    """The ``iterations`` of every discounted fixed point the sweep solves
+    from here on, one entry each."""
     iterations = []
     real = values_module.discounted_value_detailed
 
@@ -457,6 +481,37 @@ def test_vanishing_discount_secant_start_on_a_constant_game(monkeypatch):
         return r
 
     monkeypatch.setattr(values_module, "discounted_value_detailed", counted)
+    return iterations
+
+
+def test_vanishing_discount_sweep_starts_at_the_last_profile(exshap_op, monkeypatch):
+    # each fixed point after the first starts at the exact value of the
+    # profile that ended the one before: the default-grid sweep takes at
+    # most 40 applications and its fit stays within acceptance criterion
+    # 3's bounds
+    iterations = count_fixed_point_iterations(monkeypatch)
+    fit = vanishing_discount(exshap_op, eps=1e-6)
+    assert len(iterations) == 12
+    assert sum(iterations) <= 40
+    target = math.exp(0.5) - 1.0
+    assert np.abs(fit.limit).max() <= 1e-2
+    assert 0.8 <= fit.exponent <= 1.2
+    assert abs(fit.coefficient - target) <= 0.1 * target
+
+
+def test_vanishing_discount_grid_validation(exshap_op_coarse):
+    with pytest.raises(ValueError):
+        vanishing_discount(exshap_op_coarse, lam_grid=[0.5, 0.25, 0.1])
+    with pytest.raises(ValueError):
+        vanishing_discount(exshap_op_coarse, lam_grid=[0.5, 0.25, 0.1, 0.2])
+
+
+def test_vanishing_discount_profile_start_on_a_constant_game(monkeypatch):
+    # v_lam = -1.25 for every lam, a nonzero limit: after the first fixed
+    # point, each start, the value of the previous fixed point's profile,
+    # is the next one, so one application meets the stopping rule
+    op = constant_operator(3, -1.25)
+    iterations = count_fixed_point_iterations(monkeypatch)
     fit = vanishing_discount(op)
     assert len(iterations) == 12
     assert iterations[1:] == [1] * 11
