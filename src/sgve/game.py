@@ -507,6 +507,20 @@ def _check_hint(hint: MatrixGameSolution | None, shape: tuple) -> None:
             f"{np.shape(hint.col_strategy)} do not fit a {shape} payoff matrix")
 
 
+def _checked(A, tol: float, hint: MatrixGameSolution | None, what: str) -> np.ndarray:
+    """A as a float array, after the input checks both kernel entries share."""
+    A = np.asarray(A, dtype=float)
+    ndim = 2 if what == "matrix" else 3
+    if A.ndim != ndim or A.size == 0:
+        raise MatrixGameError(f"payoff {what} must be {ndim}-D and nonempty")
+    if not np.logical_and.reduce(np.isfinite(A), axis=None):
+        raise MatrixGameError(f"payoff {what} contains nonfinite entries")
+    if not tol > 0:
+        raise MatrixGameError("tol must be positive")
+    _check_hint(hint, A.shape[-2:])
+    return A
+
+
 def solve_matrix_game(A, tol: float = 1e-9,
                       hint: MatrixGameSolution | None = None) -> MatrixGameSolution:
     """Gap-certified mixed value of the zero-sum game with payoff matrix A.
@@ -534,14 +548,7 @@ def solve_matrix_game(A, tol: float = 1e-9,
     match A, or if no candidate certifies a duality gap within ``tol``;
     the error's ``best_gap`` is then the smallest gap reached.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise MatrixGameError("payoff matrix must be 2-D and nonempty")
-    if not np.logical_and.reduce(np.isfinite(A), axis=None):
-        raise MatrixGameError("payoff matrix contains nonfinite entries")
-    if not tol > 0:
-        raise MatrixGameError("tol must be positive")
-    _check_hint(hint, A.shape)
+    A = _checked(A, tol, hint, "matrix")
 
     # the pure pair, maximin row against minimax column, opens the stream:
     # its bracket is the row minimum and column maximum it is built from,
@@ -589,14 +596,7 @@ def solve_matrix_game_stack(As, tol: float = 1e-9, hint: MatrixGameSolution | No
     to the rest of its candidate stream.  Raises :class:`MatrixGameError`
     as that does, for any game.
     """
-    As = np.asarray(As, dtype=float)
-    if As.ndim != 3 or As.size == 0:
-        raise MatrixGameError("payoff stack must be 3-D and nonempty")
-    if not np.logical_and.reduce(np.isfinite(As), axis=None):
-        raise MatrixGameError("payoff stack contains nonfinite entries")
-    if not tol > 0:
-        raise MatrixGameError("tol must be positive")
-    _check_hint(hint, As.shape[1:])
+    As = _checked(As, tol, hint, "stack")
     # the brackets of each game's pure pair, then of the hint's strategies
     row_min = np.minimum.reduce(As, axis=2)
     col_max = np.maximum.reduce(As, axis=1)

@@ -81,47 +81,33 @@ class MonotoneMap:
             return
         if self.weights is None or len(self.weights) != self.d:
             raise GameSpecError("need one weight family per coordinate")
-        d = self.d
-        sizes = [len(fam) for fam in self.weights]
-        F = max(max(sizes), 1)
-        # one (d, F, d) array: a smaller family repeats its first vector,
-        # which moves no min or max, and a vector of the wrong length (or an
-        # empty family's) is ones here, which pass the value checks
-        ones = (1.0,) * d
-        empty, short = np.zeros((2, d, F), dtype=bool)
-        rows = []
+        families = []
         for i, fam in enumerate(self.weights):
-            empty[i, 0] = sizes[i] == 0
-            short[i, :sizes[i]] = [len(p) != d for p in fam]
-            row = [ones if s else p for p, s in zip(fam, short[i])] or [ones]
-            rows.append(row + row[:1] * (F - len(row)))
-        try:
-            W = np.array(rows, dtype=float)
-            if W.shape != (d, F, d):
-                raise ValueError
-        except (ValueError, OverflowError):  # a sequence, text, a huge int
-            raise TypeError("weights must be numbers that convert to float") from None
-        # the checks of one vector in the order they report: the first
-        # failing vector, in coordinate order, reports its first failing check
-        failures = (empty, short,
-                    ~np.logical_and.reduce(np.isfinite(W), axis=2),
-                    np.logical_or.reduce(W < 0, axis=2),
-                    ~np.logical_or.reduce(W > 0, axis=2))
-        failed = np.logical_or.reduce(failures)
-        if failed.any():
-            i, j = divmod(int(failed.argmax()), F)
-            first = next(c for c, f in enumerate(failures) if f[i, j])
-            raise GameSpecError((
-                f"coordinate {i} has no weight vectors",
-                f"weight vector of wrong length in coordinate {i}",
-                f"non-finite weight in coordinate {i}",
-                f"negative weight in coordinate {i}",
-                f"all-zero weight vector in coordinate {i}: "
-                "map would not preserve positivity")[first])
+            if len(fam) == 0:
+                raise GameSpecError(f"coordinate {i} has no weight vectors")
+            vectors = []
+            for p in fam:
+                if len(p) != self.d:
+                    raise GameSpecError(f"weight vector of wrong length in coordinate {i}")
+                try:
+                    p = tuple(map(float, p))
+                except (TypeError, ValueError, OverflowError):  # a sequence, text, a huge int
+                    raise TypeError("weights must be numbers that convert to float") from None
+                if not all(map(math.isfinite, p)):
+                    raise GameSpecError(f"non-finite weight in coordinate {i}")
+                if min(p) < 0:
+                    raise GameSpecError(f"negative weight in coordinate {i}")
+                if max(p) <= 0:
+                    raise GameSpecError(
+                        f"all-zero weight vector in coordinate {i}: "
+                        "map would not preserve positivity")
+                vectors.append(p)
+            families.append(tuple(vectors))
+        F = max(map(len, families))
+        W = np.array([fam + fam[:1] * (F - len(fam)) for fam in families])
         W.flags.writeable = False
         object.__setattr__(self, "_padded", W)
-        object.__setattr__(self, "weights", tuple(
-            tuple(map(tuple, fam[:n])) for fam, n in zip(W.tolist(), sizes)))
+        object.__setattr__(self, "weights", tuple(families))
 
 
 def _linear_map(kind: str, weights) -> MonotoneMap:

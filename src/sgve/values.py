@@ -160,14 +160,13 @@ def _checked_profile(op: ShapleyOperator, hints: Sequence[MatrixGameSolution],
 
 
 def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
-                              start: np.ndarray | None = None,
                               hints: Sequence[MatrixGameSolution] | None = None,
                               ) -> DiscountedResult:
     """Discounted value, the fixed point of :func:`discounted_apply`, T.
 
-    The iteration starts at ``start`` if it is given, else, if ``hints``
-    are, at the exact lam-discounted value of the stationary profile that
-    plays them (:func:`_policy_value`, one d x d solve), else at 0.  Where
+    The iteration starts, if ``hints`` are given, at the exact
+    lam-discounted value of the stationary profile that plays them
+    (:func:`_policy_value`, one d x d solve), else at 0.  Where
     that profile is still optimal at lam, as the last one of a nearby
     discount usually is (Bewley & Kohlberg 1976), the start is the fixed
     point and one application confirms it.
@@ -204,9 +203,7 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
         raise ValueError(f"discount factor must be in (0, 1], got {lam}")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    if start is not None:
-        f = np.asarray(start, dtype=float).copy()
-    elif hints is not None:
+    if hints is not None:
         f = _policy_value(op.game, lam, _checked_profile(op, hints))
     else:
         f = np.zeros(op.dim)

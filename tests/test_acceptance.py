@@ -3,6 +3,8 @@
 Each test prints one pass/fail line; run with ``pytest -s`` to see them all
 even on success.  The same checks back ``sgve bench --suite all``.
 """
+import pytest
+
 from sgve import bench
 
 
@@ -63,3 +65,27 @@ def test_criterion_09_kl_duality():
 def test_criterion_10_convex_payoff_reduction():
     """Finite-support reduction reproduces the full grid value."""
     _run(10)
+
+
+def test_unknown_suite_names_the_suites():
+    with pytest.raises(KeyError, match=r"unknown suite 'nope'; choose from \['all', "):
+        bench.run_suite("nope")
+
+
+def test_criterion_05_fails_on_a_hard_failure(monkeypatch):
+    # one check_properties call that raises fails the criterion outright,
+    # whatever the other 99 games report
+    calls = []
+    real = bench.check_properties
+
+    def check_properties(op, pairs):
+        calls.append(op)
+        if len(calls) == 3:
+            raise FloatingPointError("overflow in the operator")
+        return real(op, pairs)
+
+    monkeypatch.setattr(bench, "check_properties", check_properties)
+    result = bench.run_criteria([5])[0]
+    assert len(calls) == 100
+    assert not result.passed
+    assert result.summary.endswith("hard failures=1")

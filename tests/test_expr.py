@@ -78,6 +78,19 @@ def test_long_sums_parse_and_evaluate():
     assert expr.parse(expr.to_string(e), ["x"]) == e and repr(e).count("Var") == 500
 
 
+def test_equal_trees_hash_equal_and_other_types_compare_unequal():
+    text = "exp(-x) * (y + 2.5) / log(x^2 + 1)"
+    a, b = expr.parse(text, ["x", "y"]), expr.parse(text, ["x", "y"])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, expr.parse("x", ["x"])}) == 2
+    # a 500-term sum hashes by the same walk as equality, without recursing
+    long = expr.parse("+".join(["x"] * 500), ["x"])
+    assert hash(long) == hash(expr.parse(expr.to_string(long), ["x"]))
+    # another type, or another node class, is not equal
+    assert Var("x").__eq__("x") is NotImplemented
+    assert Var("x") != "x" and Num(1.0) != Var("x") and Num(1.0) != 1.0
+
+
 def test_reserved_names_rejected_as_variables():
     with pytest.raises(ValueError):
         expr.parse("exp", ["exp"])

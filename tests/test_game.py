@@ -397,6 +397,25 @@ def test_lp_failed_on_all_attempts(monkeypatch):
     assert calls == ["tableau", "lp"]
 
 
+def test_lp_failure_status_leaves_the_pure_pair_gap(monkeypatch):
+    # HiGHS does report failure (status 4 on a McKinsey grid): the real
+    # _lp_solve then returns no candidate, and with the tableau off the
+    # error reports the gap of the pure pair (row 0, column 1), bracket [1, 2]
+    methods = []
+
+    def linprog(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return SimpleNamespace(success=False, status=4)
+
+    monkeypatch.setattr(game_module, "linprog", linprog)
+    calls = _log_sources(monkeypatch, failing=("tableau",))
+    with pytest.raises(MatrixGameError,
+                       match="could not certify requested duality gap") as err:
+        solve_matrix_game([[3, 1], [0, 2]], TOL)
+    assert err.value.best_gap == 0.5
+    assert calls == ["tableau", "lp"] and methods == ["highs"]
+
+
 def test_lp_best_gap_when_no_configuration_certifies(monkeypatch):
     # the tableau and the LP both return the pure profile (row 0, column 0)
     # of matching pennies, whose certified gap is 1
@@ -640,6 +659,34 @@ def test_stack_rejects_nonfinite_entries_and_misfit_hints():
     for shape in ((3, 3), (0, 2, 2), (2, 0, 3)):
         with pytest.raises(MatrixGameError, match="3-D and nonempty"):
             solve_matrix_game_stack(np.zeros(shape), TOL)
+
+
+_MISFIT = MatrixGameSolution(0.0, np.full(3, 1 / 3), np.full(2, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("entry", ["matrix", "stack"])
+@pytest.mark.parametrize("payoff, tol, hint, message", [
+    ([[3, 1], [0, 2]], 0.0, None, "tol must be positive"),
+    ([[3, 1], [0, 2]], math.nan, None, "tol must be positive"),
+    ([[3, math.inf], [0, 2]], TOL, None, "payoff {entry} contains nonfinite entries"),
+    ([[3, 1], [math.nan, 2]], TOL, None, "payoff {entry} contains nonfinite entries"),
+    (np.zeros((2, 0)), TOL, None, "payoff {entry} must be {ndim}-D and nonempty"),
+    ([[3, 1], [0, 2]], TOL, _MISFIT, "hint strategies of lengths (3,) and (2,) "
+                                     "do not fit a (2, 2) payoff matrix"),
+    # the checks run in one order: entries, then tol, then the hint
+    ([[math.nan]], 0.0, _MISFIT, "payoff {entry} contains nonfinite entries"),
+    ([[1.0]], 0.0, _MISFIT, "tol must be positive"),
+], ids=["tol-zero", "tol-nan", "infinite", "nan", "empty", "misfit-hint",
+        "entries-first", "tol-before-hint"])
+def test_both_kernel_entries_check_their_input_alike(entry, payoff, tol, hint, message):
+    A = np.asarray(payoff, dtype=float)
+    if entry == "matrix":
+        call, ndim = (lambda: solve_matrix_game(A, tol, hint)), 2
+    else:
+        call, ndim = (lambda: solve_matrix_game_stack(A[None], tol, hint)), 3
+    with pytest.raises(MatrixGameError) as err:
+        call()
+    assert str(err.value) == message.format(entry=entry, ndim=ndim)
 
 
 def _count_support_solves(monkeypatch):

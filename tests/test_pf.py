@@ -171,7 +171,7 @@ def test_bad_weight_families(families, match):
 
 def _first_weight_failure(families, d):
     """The per-vector checks, one weight at a time, in the order the map
-    reports them: a test oracle for the whole-array checks."""
+    reports them: a test oracle for the map's checks."""
     for i, fam in enumerate(families):
         if len(fam) == 0:
             return f"coordinate {i} has no weight vectors"
@@ -237,6 +237,13 @@ def test_weight_array_leaves_equality_hash_and_repr_alone():
                                   [[1.0, 1.0], [2.0, 0.5], [1.0, 1.0]]]
     assert not T._padded.flags.writeable
     assert explicit_map(["f1"])._padded is None
+
+
+def test_explicit_maps_from_the_same_texts_compare_and_hash_equal():
+    texts = ["0.5*f1 + f2", "f1*f3^0.5", "f3 + 1"]
+    T, U = explicit_map(texts), explicit_map(list(texts))
+    assert T.exprs is not U.exprs and T == U and hash(T) == hash(U)
+    assert T != explicit_map(texts[:2] + ["f3 + 2"])
 
 
 def test_growth_rate_diagonal_exact_any_start():

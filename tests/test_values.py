@@ -367,9 +367,6 @@ def test_warm_fixed_point_at_an_optimal_profile_takes_one_application():
     assert r.iterations == 1
     assert r.error_bound <= 1e-6
     assert np.abs(r.value - w).max() <= r.error_bound + 2 * TOL
-    # a given start comes before the hints' profile
-    assert discounted_value_detailed(op, lam, 1e-6, start=np.zeros(3),
-                                     hints=hints).iterations > 1
 
 
 def test_hints_that_do_not_fit_raise_before_the_start(exshap_op_coarse):
