@@ -37,6 +37,9 @@ _SEED = 20260801  # fixed so bench output is byte-identical across runs
 # duality-gap tolerance of the benchmark-grid solves of criteria 1-4 and 6;
 # the other criteria state their own tolerances
 GRID_TOL = 1e-6
+# the oracle perron_root's power iteration: its stopping step and its budget
+PERRON_TOL = 1e-13
+PERRON_MAX_ITERATIONS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +108,15 @@ def random_discretized_game(rng: np.random.Generator, states: int,
                            g=tuple(g), rho=tuple(rho))
 
 
-def perron_root(A: np.ndarray, tol: float = 1e-13,
-                max_iterations: int = 200_000) -> float:
+def perron_root(A: np.ndarray) -> float:
     """Dominant eigenvalue of a positive matrix by power iteration."""
     v = np.ones(A.shape[0])
     rho = 0.0
-    for _ in range(max_iterations):
+    for _ in range(PERRON_MAX_ITERATIONS):
         w = A @ v
         v_new = w / np.linalg.norm(w)
         rho_new = float(v_new @ (A @ v_new))
-        if abs(rho_new - rho) <= tol:
+        if abs(rho_new - rho) <= PERRON_TOL:
             return rho_new
         v, rho = v_new, rho_new
     return rho

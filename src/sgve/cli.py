@@ -22,7 +22,7 @@ import numpy as np
 from . import values
 from .bench import SUITES, run_suite
 from .errors import (GameSpecError, IterationBudgetError, MatrixGameError,
-                     PositivityError, SgveError)
+                     PositivityError, SgveError, checked_count)
 from .game import discretize
 from .gamefile import game_spec_from_document, load_game_document, load_monotone_map
 from .pf import growth_bracket, growth_rates
@@ -131,13 +131,13 @@ def _cmd_growth(args) -> int:
     e = np.ones(T.d) if args.start is None else np.asarray(args.start, dtype=float)
     if e.shape != (T.d,) or not (np.isfinite(e).all() and (e > 0).all()):
         raise GameSpecError(f"--e must list {T.d} finite, positive starting values")
-    # a bad --n takes the orbit route, which rejects it
-    bracket = growth_bracket(T) if args.n >= 1 else None
+    n = checked_count(args.n, 1, "n", ValueError)
+    bracket = growth_bracket(T)
     if bracket is not None:
         print("growth rate:", " ".join([repr(bracket.rate)] * T.d))
         print(f"collatz-wielandt bracket: {bracket.lo!r} {bracket.hi!r}")
         return EXIT_OK
-    ns = [args.n, args.n // 2] if args.n >= 2 else [args.n]
+    ns = [n, n // 2] if n >= 2 else [n]
     chi, *half = growth_rates(T, e, ns)
     print("growth rate:", " ".join(repr(float(x)) for x in chi))
     if half:

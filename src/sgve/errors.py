@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its one count rule."""
+import operator
 
 
 class SgveError(Exception):
@@ -59,3 +60,16 @@ class IterationBudgetError(SgveError):
 class PositivityError(SgveError):
     """A map declared as a self-map of the open positive cone produced a
     nonpositive or nonfinite value."""
+
+
+def checked_count(value, least: int, what: str, error: type[Exception]) -> int:
+    """The count ``value`` (states, d, a resolution, a horizon, trials) as
+    an int: an integer by ``operator.index``, not a bool, and >= ``least``.
+    Anything else raises ``error`` with the one message for a bad count."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least or isinstance(value, bool):
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+    return n

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import EvalDomainError, GameSpecError, MatrixGameError
+from .errors import EvalDomainError, GameSpecError, MatrixGameError, checked_count
 
 __all__ = [
     "GameSpec", "DiscretizedGame", "MatrixGameSolution",
@@ -37,6 +37,8 @@ _NEGATIVE_CLAMP = 1e-12
 _SUPPORT_THRESHOLD = 1e-9
 # one machine epsilon: how far from 1.0 the float sum of a strategy may be
 _EPS = float(np.finfo(float).eps)
+# the longest side whose supports the oracle matrix_game_bruteforce enumerates
+BRUTEFORCE_MAX_SIZE = 6
 
 
 def linprog(*args, **kwargs):
@@ -75,9 +77,7 @@ class GameSpec:
     controller: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        d = self.states
-        if d < 1:
-            raise GameSpecError("state count must be >= 1")
+        d = checked_count(self.states, 1, "states", GameSpecError)
         if len(self.payoff) != d:
             raise GameSpecError("need one payoff expression per state")
         if len(self.transition) != d or any(len(row) != d for row in self.transition):
@@ -105,9 +105,7 @@ class DiscretizedGame:
     controller: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        d = self.states
-        if d < 1:
-            raise GameSpecError("state count must be >= 1")
+        d = checked_count(self.states, 1, "states", GameSpecError)
         for name in ("g", "rho", "grids_x", "grids_y", "controller"):
             entries = getattr(self, name)
             if entries is not None and len(entries) != d:
@@ -146,9 +144,7 @@ def uniform_grid(box: Sequence[tuple[float, float]], resolution: int) -> np.ndar
     Returns a (resolution ** dim, dim) array in row-major order of the
     coordinate meshes.
     """
-    resolution = int(resolution)
-    if resolution < 2:
-        raise GameSpecError("grid resolution must be >= 2 per dimension")
+    resolution = checked_count(resolution, 2, "grid resolution", GameSpecError)
     axes = [np.linspace(lo, hi, resolution) for lo, hi in box]
     pts = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=-1)
     return pts.reshape(-1, len(box))
@@ -622,17 +618,17 @@ def solve_matrix_game_stack(As, tol: float = 1e-9, hint: MatrixGameSolution | No
     return values, gaps
 
 
-def matrix_game_bruteforce(A, max_size: int = 6) -> float:
+def matrix_game_bruteforce(A) -> float:
     """Exact mixed value by exhaustive support enumeration (test oracle).
 
     Solves the square equalization systems of every support pair and returns
     the first value whose strategies certify optimality against the whole
-    matrix.  Only intended for matrices up to ``max_size`` x ``max_size``.
+    matrix.  Only intended for games of up to ``BRUTEFORCE_MAX_SIZE`` actions a side.
     """
     A = np.asarray(A, dtype=float)
     m, n = A.shape
-    if m > max_size or n > max_size:
-        raise MatrixGameError(f"bruteforce limited to {max_size}x{max_size}")
+    if max(m, n) > BRUTEFORCE_MAX_SIZE:
+        raise MatrixGameError(f"bruteforce limited to {BRUTEFORCE_MAX_SIZE} actions a side")
     maximin, minimax = A.min(axis=1).max(), A.max(axis=0).min()
     if maximin == minimax:  # exact pure saddle
         return float(maximin)

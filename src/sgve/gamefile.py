@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import expr as ex
 from . import pf
-from .errors import GameSpecError, SgveError
+from .errors import GameSpecError, SgveError, checked_count
 from .game import GameSpec, action_variables
 from .shapley import FORMS
 
@@ -62,8 +62,7 @@ def game_spec_from_document(doc: dict) -> tuple[GameSpec, str]:
         transition = doc["transition"]
     except (KeyError, TypeError) as exc:
         raise GameSpecError(f"missing required field: {exc}") from None
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise GameSpecError("states must be a positive integer")
+    d = checked_count(d, 1, "states", GameSpecError)
     if not isinstance(actions, dict) or set(actions) != {"x", "y"}:
         raise GameSpecError('actions must be an object with keys "x" and "y"')
     x_box = _box_from(actions["x"], "x")
@@ -129,9 +128,7 @@ def monotone_map_from_document(doc: dict) -> pf.MonotoneMap:
     if not isinstance(doc, dict):
         raise GameSpecError("map document must be a JSON object")
     kind = doc.get("kind")
-    d = doc.get("d")
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise GameSpecError("d must be a positive integer")
+    d = checked_count(doc.get("d"), 1, "d", GameSpecError)
     if kind == "explicitExpr":
         exprs = doc.get("exprs")
         if (not isinstance(exprs, list) or len(exprs) != d

@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import EvalDomainError, GameSpecError, PositivityError
+from .errors import EvalDomainError, GameSpecError, PositivityError, checked_count
 
 __all__ = [
     "MonotoneMap", "min_linear", "max_linear", "explicit_map",
@@ -71,8 +71,7 @@ class MonotoneMap:
     _padded: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 1:
-            raise GameSpecError("d must be a positive integer")
+        checked_count(self.d, 1, "d", GameSpecError)
         if self.kind not in KINDS:
             raise GameSpecError(f"unknown map kind {self.kind!r}")
         if self.kind == "explicitExpr":
@@ -281,8 +280,8 @@ def _checked_start(T: MonotoneMap, e, ns: Sequence[int]) -> np.ndarray:
     """e as an array, after checking it and the horizons ``ns``."""
     if not ns:
         raise ValueError("need at least one horizon n")
-    if min(ns) < 1:
-        raise ValueError("n must be >= 1")
+    for n in ns:
+        checked_count(n, 1, "n", ValueError)
     e = np.asarray(e, dtype=float)
     if e.shape != (T.d,) or not np.all(e > 0) or not np.isfinite(e).all():
         raise PositivityError("starting vector must be finite and strictly positive")

@@ -4,14 +4,13 @@ fitting, operator perturbation checks, and Monte-Carlo rollout of
 stationary strategies."""
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import GameSpecError, IterationBudgetError
+from .errors import GameSpecError, IterationBudgetError, checked_count
 from .game import DiscretizedGame, MatrixGameSolution, _check_hint, _exact_row_sums
 from .shapley import ShapleyOperator
 
@@ -38,14 +37,6 @@ def _orbit(op: ShapleyOperator) -> Iterator[np.ndarray]:
     while True:
         yield f
         f, _, hints = op.apply_with_gaps(f, hints)
-
-
-def _horizon(n) -> int:
-    """``n`` as an int; a ValueError names a horizon that is not one."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ValueError(f"horizon {n!r} is not an integer") from None
 
 
 def _n_stage_values(op: ShapleyOperator, horizons: list[int]) -> dict[int, np.ndarray]:
@@ -96,9 +87,7 @@ def value_iteration(op: ShapleyOperator, n: int) -> np.ndarray:
     where the value depends on the initial state, it is the plain orbit:
     n hinted applications to 0, divided by n.
     """
-    n = _horizon(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_count(n, 1, "n", ValueError)
     return _n_stage_values(op, [n])[n]
 
 
@@ -107,8 +96,8 @@ def n_stage_series(op: ShapleyOperator, ns: Sequence[int]) -> list[tuple[int, np
     orbit: each is ``np.array_equal`` to :func:`value_iteration` at its
     horizon, within ``op.tol`` of the exact value, and the plain orbit's
     wherever its box does not close."""
-    wanted = set(map(_horizon, ns))
-    if not wanted or min(wanted) < 1:
+    wanted = {checked_count(n, 1, "n", ValueError) for n in ns}
+    if not wanted:
         raise ValueError("horizons must be positive")
     values = _n_stage_values(op, list(wanted))
     return [(n, values[n]) for n in sorted(wanted)]
@@ -345,7 +334,11 @@ class RateFit:
     theta: float | None
     residual: float
     points_used: int
-    already_converged: bool = False
+
+    @property
+    def already_converged(self) -> bool:
+        """Too few points were left to fit, and ``theta`` is None."""
+        return self.theta is None
 
 
 def rate_fit(series: Iterable[tuple[int, np.ndarray]], v_inf) -> RateFit:
@@ -365,8 +358,7 @@ def rate_fit(series: Iterable[tuple[int, np.ndarray]], v_inf) -> RateFit:
             ns.append(float(n))
             errs.append(e)
     if len(ns) < 4:
-        return RateFit(theta=None, residual=0.0, points_used=len(ns),
-                       already_converged=True)
+        return RateFit(theta=None, residual=0.0, points_used=len(ns))
     X = np.log(np.array(ns))
     Y = np.log(np.array(errs))
     slope, intercept = np.polyfit(X, Y, 1)
@@ -417,8 +409,7 @@ def iterate_deviation_check(op1: ShapleyOperator, op2: ShapleyOperator,
     the inductive argument behind the bound actually telescopes over.
     Each trajectory's applications are hinted by its previous step.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = checked_count(n, 1, "n", ValueError)
     # f1_0, f2_0, f1_1, f2_1, ..., f1_n, f2_n: the two orbits interleaved
     trajectory = [f for pair in islice(zip(_orbit(op1), _orbit(op2)), n + 1)
                   for f in pair]
@@ -467,11 +458,11 @@ def simulate(game: DiscretizedGame, row_policy, col_policy, n: int,
     by inverse CDF.  The halfwidth is a normal-approximation 95% confidence
     radius over the per-trial averages.
     """
-    if trials < 1 or n < 1:
-        raise ValueError("trials and n must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if not 0 <= start_state < game.states:
+    trials = checked_count(trials, 1, "trials", ValueError)
+    n = checked_count(n, 1, "n", ValueError)
+    seed = checked_count(seed, 0, "seed", ValueError)
+    start_state = checked_count(start_state, 0, "start_state", GameSpecError)
+    if start_state >= game.states:
         raise GameSpecError(f"start state {start_state} out of range")
     rows = _check_policy(row_policy, [g.shape[0] for g in game.g], "row")
     cols = _check_policy(col_policy, [g.shape[1] for g in game.g], "column")

@@ -163,7 +163,8 @@ def _two_state_game(**changes) -> DiscretizedGame:
 
 
 @pytest.mark.parametrize("make, match", [
-    (lambda: _one_state_spec(states=0), "state count must be >= 1"),
+    (lambda: _one_state_spec(states=0), "states must be an integer >= 1, got 0"),
+    (lambda: _one_state_spec(states=2.0), "states must be an integer >= 1, got 2.0"),
     (lambda: _one_state_spec(payoff=(_X, _X)), "one payoff expression per state"),
     (lambda: _one_state_spec(transition=()), "d x d expression table"),
     (lambda: _one_state_spec(transition=((_ONE, _ONE),)), "d x d expression table"),
@@ -173,7 +174,8 @@ def _two_state_game(**changes) -> DiscretizedGame:
     (lambda: _one_state_game(np.zeros((2, 2)), np.ones((2, 1, 1))),
      "tensor shape mismatch in state 0"),
     (lambda: DiscretizedGame(states=0, grids_x=(), grids_y=(), g=(), rho=()),
-     "state count must be >= 1"),
+     "states must be an integer >= 1, got 0"),
+    (lambda: _two_state_game(states=2.0), "states must be an integer >= 1, got 2.0"),
     (lambda: _two_state_game(g=(np.zeros((2, 2)),)), "g needs one entry per state: 1 for 2"),
     (lambda: _two_state_game(rho=(np.ones((2, 2, 2)),) * 3), "rho needs one entry per state"),
     (lambda: _two_state_game(grids_x=(np.zeros((2, 1)),)), "grids_x needs one entry"),
@@ -184,10 +186,15 @@ def _two_state_game(**changes) -> DiscretizedGame:
     (lambda: _two_state_game(grids_y=(np.zeros((1, 1)), np.zeros((2, 1)))),
      r"state 0: grids of 2 and 1 points"),
     (lambda: _one_state_game(np.zeros(2), np.ones((2, 1))), "tensor shape mismatch in state 0"),
-], ids=["no-states", "payoff-count", "transition-rows", "transition-columns",
-        "controller-count", "empty-box", "infinite-box", "tensor-shapes",
-        "no-grid-states", "g-count", "rho-count", "grids-x-count", "grids-y-count",
-        "controller-tags", "x-grid-rows", "y-grid-rows", "flat-payoff"])
+    (lambda: discretize(_one_state_spec(), 5.9),
+     "grid resolution must be an integer >= 2, got 5.9"),
+    (lambda: discretize(_one_state_spec(), "7"),
+     "grid resolution must be an integer >= 2, got '7'"),
+], ids=["no-states", "fractional-states", "payoff-count", "transition-rows",
+        "transition-columns", "controller-count", "empty-box", "infinite-box",
+        "tensor-shapes", "no-grid-states", "fractional-grid-states", "g-count", "rho-count",
+        "grids-x-count", "grids-y-count", "controller-tags", "x-grid-rows", "y-grid-rows",
+        "flat-payoff", "fractional-resolution", "text-resolution"])
 def test_game_input_checks(make, match):
     with pytest.raises(GameSpecError, match=match):
         make()
@@ -520,6 +527,29 @@ def test_hint_that_is_no_probability_vector_is_not_returned():
     assert abs(sol.value - 1.5) <= 2 * TOL
     assert sol.duality_gap <= TOL
     assert certificate_holds(A, sol)
+
+
+def test_all_zero_hint_has_no_support_and_solves_as_cold(monkeypatch):
+    # the zero strategies bracket [[1, -1], [-1, 1]] at 0 with gap 0 but
+    # are no probability vectors, and their supports are empty, so neither
+    # entry gets a support solve from the hint; both return the cold solve's
+    # value and gap
+    A = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    zero = MatrixGameSolution(0.0, np.zeros(2), np.zeros(2), 0.0)
+    cold = solve_matrix_game(A, TOL)
+    support_solves = []
+    real = game_module._support_solve
+
+    def support_solve(B, sol):
+        support_solves.append((sol is zero, real(B, sol)))
+        return support_solves[-1][1]
+
+    monkeypatch.setattr(game_module, "_support_solve", support_solve)
+    sol = solve_matrix_game(A, TOL, hint=zero)
+    values, gaps = solve_matrix_game_stack(A[None], TOL, hint=zero)
+    assert [r for from_hint, r in support_solves if from_hint] == [None, None]
+    for value, gap in ((sol.value, sol.duality_gap), (values[0], gaps[0])):
+        assert np.array_equal([value, gap], [cold.value, cold.duality_gap])
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan])

@@ -181,7 +181,7 @@ def test_mckinsey_matrix_is_the_bench_document_payoff():
     for points in (2, 7, 51):
         assert np.array_equal(mckinsey_payoff_matrix(1.0, points),
                               discretize(spec, points).g[0])
-    with pytest.raises(GameSpecError, match="grid resolution must be >= 2"):
+    with pytest.raises(GameSpecError, match="grid resolution must be an integer >= 2, got 1"):
         mckinsey_payoff_matrix(0.5, 1)
 
 

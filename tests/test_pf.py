@@ -113,8 +113,12 @@ def test_negative_weight_rejected():
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: min_linear([]), GameSpecError, "d must be a positive integer"),
-    (lambda: explicit_map([]), GameSpecError, "d must be a positive integer"),
+    (lambda: min_linear([]), GameSpecError, "d must be an integer >= 1, got 0"),
+    (lambda: explicit_map([]), GameSpecError, "d must be an integer >= 1, got 0"),
+    (lambda: MonotoneMap(d=1.0, kind="minLinear", weights=(((1.0,),),)),
+     GameSpecError, "d must be an integer >= 1, got 1.0"),
+    (lambda: MonotoneMap(d=True, kind="minLinear", weights=(((1.0,),),)),
+     GameSpecError, "d must be an integer >= 1, got True"),
     (lambda: MonotoneMap(d=1, kind="linear", weights=(((1.0,),),)),
      GameSpecError, "unknown map kind 'linear'"),
     (lambda: MonotoneMap(d=2, kind="explicitExpr", exprs=explicit_map(["f1"]).exprs),
@@ -133,9 +137,15 @@ def test_negative_weight_rejected():
      GameSpecError, "argument must have length 2"),
     (lambda: check_cone_properties(identity_map(2), [((1.0, 1.0), (2.0, 2.0), 0.5)]),
      ValueError, "subhomogeneity scalars must be >= 1"),
-], ids=["no-coordinates-linear", "no-coordinates-explicit", "unknown-kind",
-        "expr-count", "no-exprs", "family-count", "no-weights", "empty-family",
-        "short-vector", "risk-sensitive-length", "scalar-below-one"])
+    # one rule whether or not the map's bracket closes
+    (lambda: growth_rate(diag_map(2.0, 3.0), np.ones(2), 2.5),
+     ValueError, "n must be an integer >= 1, got 2.5"),
+    (lambda: growth_rate(min_linear([[(1.0, 1.0)], [(1.0, 1.0)]]), np.ones(2), 2.5),
+     ValueError, "n must be an integer >= 1, got 2.5"),
+], ids=["no-coordinates-linear", "no-coordinates-explicit", "fractional-d", "bool-d",
+        "unknown-kind", "expr-count", "no-exprs", "family-count", "no-weights",
+        "empty-family", "short-vector", "risk-sensitive-length", "scalar-below-one",
+        "fractional-n-orbit", "fractional-n-bracket"])
 def test_map_input_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()
@@ -465,6 +475,9 @@ def test_kl_duality_grid_oracle():
             grid_max = bench.kl_dual_grid_max(p, h, G)
             slack = bench.kl_dual_certified_slack(p, h, G)
             assert -1e-12 <= lse - grid_max <= slack
+    # the simplex of one coordinate is the single point q = (1)
+    for h in (-2.5, 0.0, 7.0):
+        assert bench.kl_dual_grid_max([1.0], [h], 10) == h
 
 
 def test_log_sum_exp_extremes():

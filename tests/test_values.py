@@ -691,29 +691,42 @@ def _simulate(game: DiscretizedGame, **changes):
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda op: value_iteration(op, 0), ValueError, "n must be >= 1"),
+    (lambda op: value_iteration(op, 0), ValueError, "n must be an integer >= 1, got 0"),
     (lambda op: n_stage_series(op, []), ValueError, "horizons must be positive"),
-    (lambda op: n_stage_series(op, [2, 0]), ValueError, "horizons must be positive"),
-    (lambda op: value_iteration(op, 2.5), ValueError, "horizon 2.5 is not an integer"),
-    (lambda op: n_stage_series(op, [1, 2.5]), ValueError, "horizon 2.5 is not an integer"),
+    (lambda op: n_stage_series(op, [2, 0]), ValueError, "n must be an integer >= 1, got 0"),
+    (lambda op: value_iteration(op, 2.5), ValueError, "n must be an integer >= 1, got 2.5"),
+    (lambda op: n_stage_series(op, [1, 2.5]), ValueError,
+     "n must be an integer >= 1, got 2.5"),
+    (lambda op: value_iteration(op, True), ValueError, "n must be an integer >= 1, got True"),
     (lambda op: rate_fit([(0, [1.0]), (1, [0.5]), (2, [0.3]), (4, [0.2])], [0.0]),
      ValueError, "horizons must be positive"),
     (lambda op: operator_distance(op, constant_operator(3, 0.5)),
      GameSpecError, "operators must share the state space"),
-    (lambda op: iterate_deviation_check(op, op, 0), ValueError, "n must be >= 1"),
+    (lambda op: iterate_deviation_check(op, op, 0),
+     ValueError, "n must be an integer >= 1, got 0"),
+    (lambda op: iterate_deviation_check(op, op, 2.5),
+     ValueError, "n must be an integer >= 1, got 2.5"),
     (lambda op: _simulate(op.game, row_policy=[]),
      GameSpecError, "row policy must cover every state"),
-    (lambda op: _simulate(op.game, trials=0), ValueError, "trials and n must be >= 1"),
-    (lambda op: _simulate(op.game, n=0), ValueError, "trials and n must be >= 1"),
-    (lambda op: _simulate(op.game, seed=-1), ValueError, "seed must be nonnegative"),
+    (lambda op: _simulate(op.game, trials=0), ValueError, "trials must be an integer >= 1, got 0"),
+    (lambda op: _simulate(op.game, trials=2.0),
+     ValueError, "trials must be an integer >= 1, got 2.0"),
+    (lambda op: _simulate(op.game, n=0), ValueError, "n must be an integer >= 1, got 0"),
+    (lambda op: _simulate(op.game, n=2.5), ValueError, "n must be an integer >= 1, got 2.5"),
+    (lambda op: _simulate(op.game, seed=-1), ValueError, "seed must be an integer >= 0, got -1"),
+    (lambda op: _simulate(op.game, seed=1.5), ValueError, "seed must be an integer >= 0, got 1.5"),
     (lambda op: _simulate(op.game, start_state=2),
      GameSpecError, "start state 2 out of range"),
     (lambda op: _simulate(op.game, start_state=-1),
-     GameSpecError, "start state -1 out of range"),
+     GameSpecError, "start_state must be an integer >= 0, got -1"),
+    (lambda op: _simulate(op.game, start_state=1.0),
+     GameSpecError, "start_state must be an integer >= 0, got 1.0"),
 ], ids=["value-iteration-n", "no-horizons", "zero-horizon",
-        "value-iteration-fraction", "series-fraction", "rate-fit-zero-horizon",
-        "state-spaces", "deviation-n", "policy-states", "no-trials", "simulate-n", "negative-seed",
-        "start-state-high", "start-state-low"])
+        "value-iteration-fraction", "series-fraction", "value-iteration-bool",
+        "rate-fit-zero-horizon", "state-spaces", "deviation-n", "deviation-fraction",
+        "policy-states", "no-trials", "fractional-trials", "simulate-n", "simulate-fraction",
+        "negative-seed", "fractional-seed", "start-state-high", "start-state-low",
+        "fractional-start-state"])
 def test_values_input_checks(call, error, match):
     with pytest.raises(error, match=match):
         call(constant_operator(2, 0.5))
