@@ -6,6 +6,11 @@ operator (whose tagged forms only declare the game class), n-stage and
 discounted values, their common vanishing-discount limit with power-law
 extrapolation, parametric one-shot games, and geometric growth rates of
 order-preserving maps through log/exp conjugation.
+
+The package exports what the CLI and ``sgve bench`` run.  The conjugate
+itself, including the risk-sensitive operator
+``sgve.pf.make_conjugate(min_linear(W))`` and the literal
+``sgve.pf.log_glasses_apply``, is imported from :mod:`sgve.pf`.
 """
 from .errors import (EvalDomainError, ExprSyntaxError, GameSpecError,
                      IterationBudgetError, MatrixGameError, PositivityError,
@@ -16,13 +21,12 @@ from .game import (DiscretizedGame, GameSpec, MatrixGameSolution, discretize,
                    solve_matrix_game_stack, uniform_grid)
 from .parametric import (ConvexGameSpec, SeparableSpec, convex_value,
                          mckinsey_grid_value, mckinsey_value, separable_value)
-from .pf import (MonotoneMap, check_cone_properties, explicit_map, growth_rate,
-                 log_glasses_apply, max_linear, min_linear, risk_sensitive_apply)
+from .pf import MonotoneMap, explicit_map, growth_rate, max_linear, min_linear
 from .shapley import PropertyReport, ShapleyOperator, check_properties
-from .values import (DeviationCheck, PowerLawFit, RateFit, SimulationResult,
-                     discounted_value, discounted_value_detailed,
-                     iterate_deviation_check, n_stage_series, operator_distance,
-                     rate_fit, simulate, value_iteration, vanishing_discount)
+from .values import (DeviationCheck, PowerLawFit, RateFit, discounted_value,
+                     discounted_value_detailed, iterate_deviation_check,
+                     n_stage_series, operator_distance, rate_fit,
+                     value_iteration, vanishing_discount)
 
 __version__ = "0.1.0"
 
@@ -37,11 +41,9 @@ __all__ = [
     "value_iteration", "n_stage_series", "discounted_value",
     "discounted_value_detailed", "vanishing_discount", "PowerLawFit",
     "rate_fit", "RateFit", "operator_distance", "iterate_deviation_check",
-    "DeviationCheck", "simulate", "SimulationResult",
+    "DeviationCheck",
     "SeparableSpec", "separable_value", "ConvexGameSpec", "convex_value",
     "mckinsey_value", "mckinsey_grid_value",
-    "MonotoneMap", "min_linear", "max_linear", "explicit_map",
-    "log_glasses_apply", "risk_sensitive_apply", "growth_rate",
-    "check_cone_properties",
+    "MonotoneMap", "min_linear", "max_linear", "explicit_map", "growth_rate",
     "__version__",
 ]

@@ -63,8 +63,8 @@ class PositivityError(SgveError):
 
 
 def checked_count(value, least: int, what: str, error: type[Exception]) -> int:
-    """The count ``value`` (states, d, a resolution, a horizon, trials) as
-    an int: an integer by ``operator.index``, not a bool, and >= ``least``.
+    """The count ``value`` (states, d, a resolution, a horizon) as an int:
+    an integer by ``operator.index``, not a bool, and >= ``least``.
     Anything else raises ``error`` with the one message for a bad count."""
     try:
         n = operator.index(value)

@@ -356,11 +356,13 @@ def _supports(sol: MatrixGameSolution) -> list[np.ndarray]:
 def _support_solve(A: np.ndarray,
                    sol: MatrixGameSolution) -> MatrixGameSolution | None:
     """Equalizing strategies on the square support pair of ``sol``,
-    certified against the full matrix; None if the support is empty or its
-    equalization system has no nonnegative solution.
+    certified against the full matrix; None if either support is empty or
+    the equalization system has no nonnegative solution.
 
     The support pair is :func:`_supports`, the longer side cut to its k
-    heaviest (k the length of the shorter side), in ascending order.
+    heaviest (k the length of the shorter side), in ascending order.  At
+    k = 0 that cut, ``[-0:]``, would keep the whole other side and build a
+    kernel that is not square, so an empty support returns None first.
     """
     sides = _supports(sol)
     k = min(len(sides[0]), len(sides[1]))

@@ -6,8 +6,9 @@ vectors (min or max of linear forms) conjugates under entrywise log/exp
 into an operator that is monotone and commutes with additive constants,
 i.e. a dynamic programming operator.  Growth rates of min/max-linear maps
 are computed entirely through that conjugate in log space, so iterates
-never overflow, and the min-linear conjugate admits the stable log-sum-exp
-representation used in risk-sensitive control.
+never overflow, and the min-linear conjugate,
+``make_conjugate(min_linear(W))``, is the risk-sensitive operator
+h -> min_p log sum_j p_j e^{h_j} in its stable log-sum-exp form.
 
 The growth rate of a min/max-linear map is first sought by policy
 iteration over row selections (Rothblum 1984; Cochet-Terrasson, Cohen,
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,9 +34,8 @@ from .errors import EvalDomainError, GameSpecError, PositivityError, checked_cou
 
 __all__ = [
     "MonotoneMap", "min_linear", "max_linear", "explicit_map",
-    "apply_map", "log_glasses_apply", "risk_sensitive_apply",
+    "log_glasses_apply",
     "growth_rate", "growth_rates", "growth_bracket", "GrowthBracket",
-    "ConeReport", "check_cone_properties",
     "log_sum_exp", "make_conjugate",
 ]
 
@@ -59,8 +59,7 @@ class MonotoneMap:
     zero; ``exprs[i]`` holds an expression in f1..fd for the explicit
     kind.  Order preservation and subhomogeneity hold by construction for
     the linear kinds.  Nothing checks them for explicit ones, on the
-    growth path or elsewhere: a caller who needs them tests the map with
-    :func:`check_cone_properties`.
+    growth path or elsewhere.
     """
     d: int
     kind: str
@@ -140,14 +139,6 @@ def _coordinate_values(T: MonotoneMap, f: np.ndarray) -> np.ndarray:
     return _REDUCE[T.kind](T._padded @ f, axis=1)
 
 
-def apply_map(T: MonotoneMap, f) -> np.ndarray:
-    """Evaluate T(f) for a strictly positive vector f."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (T.d,) or not np.all(f > 0) or not np.isfinite(f).all():
-        raise PositivityError("argument must be a finite, strictly positive vector")
-    return _coordinate_values(T, f)
-
-
 def log_glasses_apply(T: MonotoneMap, h) -> np.ndarray:
     """Conjugate action log(T(exp(h))), computed literally.
 
@@ -198,21 +189,6 @@ def make_conjugate(T: MonotoneMap):
         log_weights = np.log(T._padded)
     reduce = _REDUCE[T.kind]
     return lambda h: reduce(log_sum_exp(log_weights + h), axis=1)
-
-
-def risk_sensitive_apply(weight_sets, h) -> np.ndarray:
-    """Coordinate i is the minimum over its weight vectors p of
-    log sum_j p_j e^{h_j}, evaluated with the max-shift trick.
-
-    This is the explicit representation of the log-conjugate of a
-    min-linear map; zero weights contribute nothing and an all-zero
-    vector is rejected.
-    """
-    T = min_linear(weight_sets)
-    h = np.asarray(h, dtype=float)
-    if h.shape != (T.d,):
-        raise GameSpecError(f"argument must have length {T.d}")
-    return make_conjugate(T)(h)
 
 
 class GrowthBracket(NamedTuple):
@@ -323,38 +299,3 @@ def growth_rates(T: MonotoneMap, e, ns: Sequence[int]) -> list[np.ndarray]:
     h = {t: ht for t, ht in enumerate(orbit) if t in wanted}
     return [np.exp((h[n] - h[n // 2]) / (n - n // 2)) for n in ns]
 
-
-@dataclass(frozen=True)
-class ConeReport:
-    """Worst violations of order preservation and positive subhomogeneity."""
-    order: float
-    subhomogeneity: float
-    ordered_pairs: int
-    pairs: int
-
-
-def check_cone_properties(T: MonotoneMap,
-                          samples: Iterable[tuple[Sequence[float], Sequence[float], float]],
-                          ) -> ConeReport:
-    """Test f <= g => T(f) <= T(g) and T(lam f) <= lam T(f) on samples of
-    positive vector pairs with scalars lam >= 1."""
-    order = sub = 0.0
-    ordered = total = 0
-    for f, g, lam in samples:
-        f = np.asarray(f, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if lam < 1.0:
-            raise ValueError("subhomogeneity scalars must be >= 1")
-        total += 1
-        tf = apply_map(T, f)
-        tg = apply_map(T, g)
-        if np.all(f <= g):
-            ordered += 1
-            order = max(order, float((tf - tg).max()))
-        elif np.all(g <= f):
-            ordered += 1
-            order = max(order, float((tg - tf).max()))
-        sub = max(sub, float((apply_map(T, lam * f) - lam * tf).max()),
-                  float((apply_map(T, lam * g) - lam * tg).max()))
-    return ConeReport(order=order, subhomogeneity=sub,
-                      ordered_pairs=ordered, pairs=total)

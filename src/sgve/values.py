@@ -1,7 +1,6 @@
 """Value algorithms: n-stage iteration, discounted fixed points, the
 vanishing-discount limit with power-law extrapolation, convergence-rate
-fitting, operator perturbation checks, and Monte-Carlo rollout of
-stationary strategies."""
+fitting and operator perturbation checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,7 +10,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GameSpecError, IterationBudgetError, checked_count
-from .game import DiscretizedGame, MatrixGameSolution, _check_hint, _exact_row_sums
+from .game import DiscretizedGame, MatrixGameSolution, _check_hint
 from .shapley import ShapleyOperator
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "PowerLawFit", "default_lambda_grid", "vanishing_discount",
     "RateFit", "rate_fit",
     "operator_distance", "DeviationCheck", "iterate_deviation_check",
-    "SimulationResult", "simulate",
 ]
 
 INCREMENT_FLOOR = 1e-12
@@ -98,7 +96,7 @@ def n_stage_series(op: ShapleyOperator, ns: Sequence[int]) -> list[tuple[int, np
     wherever its box does not close."""
     wanted = {checked_count(n, 1, "n", ValueError) for n in ns}
     if not wanted:
-        raise ValueError("horizons must be positive")
+        raise ValueError("need at least one horizon n")
     values = _n_stage_values(op, list(wanted))
     return [(n, values[n]) for n in sorted(wanted)]
 
@@ -419,71 +417,3 @@ def iterate_deviation_check(op1: ShapleyOperator, op2: ShapleyOperator,
     bound = n * dist + 2.0 * n * max(op1.tol, op2.tol)
     return DeviationCheck(passed=deviation <= bound, deviation=deviation,
                           bound=bound, distance=dist)
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    mean: float
-    halfwidth: float  # 1.96 * standard error over trials
-    trials: int
-    horizon: int
-
-
-def _check_policy(policy, sizes, who: str) -> list[np.ndarray]:
-    out = []
-    if len(policy) != len(sizes):
-        raise GameSpecError(f"{who} policy must cover every state")
-    for k, (pk, nk) in enumerate(zip(policy, sizes)):
-        pk = np.asarray(pk, dtype=float)
-        if (pk.shape != (nk,) or not np.isfinite(pk).all() or pk.min() < 0
-                or abs(pk.sum() - 1.0) > 1e-9):
-            raise GameSpecError(
-                f"{who} policy for state {k} is not a distribution over {nk} actions")
-        out.append(_exact_row_sums(pk))
-    return out
-
-
-def _pick(cum: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
-
-
-def simulate(game: DiscretizedGame, row_policy, col_policy, n: int,
-             start_state: int, seed: int, trials: int) -> SimulationResult:
-    """Monte-Carlo estimate of the n-stage average payoff of a stationary
-    mixed profile.
-
-    Reproducible: trial t draws an (n, 3) block of uniforms from
-    ``np.random.default_rng([seed, t])`` up front; at each stage the three
-    columns select the row action, the column action, and the next state
-    by inverse CDF.  The halfwidth is a normal-approximation 95% confidence
-    radius over the per-trial averages.
-    """
-    trials = checked_count(trials, 1, "trials", ValueError)
-    n = checked_count(n, 1, "n", ValueError)
-    seed = checked_count(seed, 0, "seed", ValueError)
-    start_state = checked_count(start_state, 0, "start_state", GameSpecError)
-    if start_state >= game.states:
-        raise GameSpecError(f"start state {start_state} out of range")
-    rows = _check_policy(row_policy, [g.shape[0] for g in game.g], "row")
-    cols = _check_policy(col_policy, [g.shape[1] for g in game.g], "column")
-    row_cum = [np.cumsum(p) for p in rows]
-    col_cum = [np.cumsum(p) for p in cols]
-    rho_cum = [np.cumsum(r, axis=2) for r in game.rho]
-    means = np.empty(trials)
-    for t in range(trials):
-        u = np.random.default_rng([seed, t]).random((n, 3))
-        state = start_state
-        total = 0.0
-        for step in range(n):
-            i = _pick(row_cum[state], u[step, 0])
-            j = _pick(col_cum[state], u[step, 1])
-            total += game.g[state][i, j]
-            state = _pick(rho_cum[state][i, j], u[step, 2])
-        means[t] = total / n
-    mean = float(means.mean())
-    if trials > 1:
-        halfwidth = float(1.96 * means.std(ddof=1) / np.sqrt(trials))
-    else:
-        halfwidth = 0.0
-    return SimulationResult(mean=mean, halfwidth=halfwidth, trials=trials,
-                            horizon=n)

@@ -552,6 +552,24 @@ def test_all_zero_hint_has_no_support_and_solves_as_cold(monkeypatch):
         assert np.array_equal([value, gap], [cold.value, cold.duality_gap])
 
 
+@pytest.mark.parametrize("row, col", [((0.0, 0.0), (0.5, 0.5)),
+                                      ((0.5, 0.5), (0.0, 0.0)),
+                                      ((1.0, 0.0), (0.0, 0.0))],
+                         ids=["empty-row", "empty-column", "pure-row-empty-column"])
+def test_one_sided_empty_hint_has_no_support_solve(row, col):
+    # with one support empty, the other side cannot be cut to zero
+    # actions, so only _support_solve's empty-support branch keeps this
+    # hint from a nonsquare kernel; both entries solve as cold
+    A = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    hint = MatrixGameSolution(0.0, np.array(row), np.array(col), 0.0)
+    cold = solve_matrix_game(A, TOL)
+    assert game_module._support_solve(A, hint) is None
+    sol = solve_matrix_game(A, TOL, hint=hint)
+    values, gaps = solve_matrix_game_stack(A[None], TOL, hint=hint)
+    for value, gap in ((sol.value, sol.duality_gap), (values[0], gaps[0])):
+        assert np.array_equal([value, gap], [cold.value, cold.duality_gap])
+
+
 @pytest.mark.parametrize("bad", [-0.5, math.nan])
 def test_hint_with_a_negative_or_nan_entry_is_not_returned(bad):
     # with p = q = (0.75, 0.75, -0.5) the bracket is inverted: p @ A is at

@@ -6,10 +6,9 @@ import pytest
 
 from sgve import bench, pf
 from sgve.errors import GameSpecError, PositivityError
-from sgve.pf import (MonotoneMap, apply_map, check_cone_properties,
-                     explicit_map, growth_bracket, growth_rate, growth_rates,
-                     log_glasses_apply, log_sum_exp, make_conjugate, max_linear,
-                     min_linear, risk_sensitive_apply)
+from sgve.pf import (MonotoneMap, explicit_map, growth_bracket, growth_rate,
+                     growth_rates, log_glasses_apply, log_sum_exp, make_conjugate,
+                     max_linear, min_linear)
 
 
 def identity_map(d: int) -> MonotoneMap:
@@ -59,7 +58,7 @@ def test_conjugation_consistency_two_routes():
         T = min_linear(fams)
         h = rng.uniform(-5, 5, d)
         lhs = log_glasses_apply(T, h)
-        rhs = risk_sensitive_apply(fams, h)
+        rhs = make_conjugate(min_linear(fams))(h)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -69,8 +68,8 @@ def test_conjugate_additive_homogeneity():
     T = min_linear(fams)
     h = rng.uniform(-2, 2, 3)
     for c in (-3.0, 0.4, 7.0):
-        lhs = risk_sensitive_apply(fams, h + c)
-        rhs = risk_sensitive_apply(fams, h) + c
+        lhs = make_conjugate(min_linear(fams))(h + c)
+        rhs = make_conjugate(min_linear(fams))(h) + c
         assert np.abs(lhs - rhs).max() <= 1e-12
         assert np.abs(log_glasses_apply(T, h + c)
                       - (log_glasses_apply(T, h) + c)).max() <= 1e-12
@@ -94,9 +93,9 @@ def test_conjugate_matches_per_vector_loop(maker, reduce):
 
 def test_risk_sensitive_point_mass_and_uniform():
     fams = [[(1.0, 0.0)], [(0.5, 0.5)]]
-    out = risk_sensitive_apply(fams, [0.7, -2.0])
+    out = make_conjugate(min_linear(fams))([0.7, -2.0])
     assert out[0] == 0.7                                   # point mass
-    out = risk_sensitive_apply(fams, [0.0, 0.0])
+    out = make_conjugate(min_linear(fams))([0.0, 0.0])
     assert out[1] == pytest.approx(0.0, abs=1e-15)         # log 1
 
 
@@ -104,7 +103,7 @@ def test_all_zero_weight_vector_rejected():
     with pytest.raises(GameSpecError, match="all-zero weight vector in coordinate 0"):
         min_linear([[(1.0, 1.0), (0.0, 0.0)], [(1.0, 0.0)]])
     with pytest.raises(GameSpecError, match="all-zero weight vector in coordinate 1"):
-        risk_sensitive_apply([[(1.0, 0.0)], [(0.0, 0.0)]], [0.0, 0.0])
+        min_linear([[(1.0, 0.0)], [(0.0, 0.0)]])
 
 
 def test_negative_weight_rejected():
@@ -133,10 +132,6 @@ def test_negative_weight_rejected():
      GameSpecError, "coordinate 0 has no weight vectors"),
     (lambda: max_linear([[(1.0,)], [(0.5, 0.5)]]),
      GameSpecError, "weight vector of wrong length in coordinate 0"),
-    (lambda: risk_sensitive_apply([[(1.0, 0.0)], [(0.5, 0.5)]], [0.0]),
-     GameSpecError, "argument must have length 2"),
-    (lambda: check_cone_properties(identity_map(2), [((1.0, 1.0), (2.0, 2.0), 0.5)]),
-     ValueError, "subhomogeneity scalars must be >= 1"),
     # one rule whether or not the map's bracket closes
     (lambda: growth_rate(diag_map(2.0, 3.0), np.ones(2), 2.5),
      ValueError, "n must be an integer >= 1, got 2.5"),
@@ -144,7 +139,7 @@ def test_negative_weight_rejected():
      ValueError, "n must be an integer >= 1, got 2.5"),
 ], ids=["no-coordinates-linear", "no-coordinates-explicit", "fractional-d", "bool-d",
         "unknown-kind", "expr-count", "no-exprs", "family-count", "no-weights",
-        "empty-family", "short-vector", "risk-sensitive-length", "scalar-below-one",
+        "empty-family", "short-vector",
         "fractional-n-orbit", "fractional-n-bracket"])
 def test_map_input_checks(call, error, match):
     with pytest.raises(error, match=match):
@@ -413,55 +408,10 @@ def test_log_glasses_domain_failure_is_positivity_error(text, h):
         log_glasses_apply(explicit_map([text]), np.array([h]))
 
 
-def test_apply_map_requires_positive_argument():
-    T = identity_map(2)
-    with pytest.raises(PositivityError):
-        apply_map(T, np.array([1.0, -1.0]))
-
-
 def test_explicit_map_parses_and_applies():
     T = explicit_map(["f1^2", "f2"])
-    out = apply_map(T, np.array([3.0, 5.0]))
-    assert out.tolist() == [9.0, 5.0]
-
-
-def test_cone_properties_min_linear_clean():
-    rng = np.random.default_rng(3)
-    fams = [[tuple(rng.uniform(0.1, 1, 2)) for _ in range(2)] for _ in range(2)]
-    T = min_linear(fams)
-    samples = []
-    for _ in range(25):
-        f = rng.uniform(0.1, 2.0, 2)
-        samples.append((f, f + rng.uniform(0, 1, 2), float(rng.uniform(1, 3))))
-    report = check_cone_properties(T, samples)
-    assert report.order <= 1e-12
-    assert report.subhomogeneity <= 1e-12
-    assert report.ordered_pairs == 25
-
-
-def test_cone_properties_identity_clean():
-    T = identity_map(2)
-    report = check_cone_properties(T, [((1.0, 1.0), (2.0, 2.0), 2.0)])
-    assert report.order == 0.0
-    assert report.subhomogeneity == 0.0
-
-
-def test_cone_properties_reverse_ordered_pair():
-    # g <= f: the order check compares T(g) against T(f)
-    T = explicit_map(["f1 + 1", "f2"])
-    report = check_cone_properties(T, [((2.0, 3.0), (1.0, 3.0), 1.0)])
-    assert report.ordered_pairs == report.pairs == 1
-    assert report.order == 0.0
-    anti = explicit_map(["1/f1", "f2"])  # order-reversing in f1
-    report = check_cone_properties(anti, [((2.0, 3.0), (1.0, 3.0), 1.0)])
-    assert report.order == 0.5
-
-
-def test_cone_properties_detect_superhomogeneous_map():
-    T = explicit_map(["f1^2", "f2"])
-    report = check_cone_properties(T, [((1.0, 1.0), (1.5, 1.5), 2.0)])
-    # T(2f)_1 = 4 f1^2 exceeds 2 T(f)_1 = 2 f1^2
-    assert report.subhomogeneity >= 2.0 - 1e-12
+    out = log_glasses_apply(T, np.log([3.0, 5.0]))
+    assert np.abs(out - np.log([9.0, 5.0])).max() <= 1e-15
 
 
 def test_kl_duality_grid_oracle():
