@@ -5,7 +5,7 @@ A map built from per-coordinate finite families of nonnegative weight
 vectors (min or max of linear forms) conjugates under entrywise log/exp
 into an operator that is monotone and commutes with additive constants,
 i.e. a dynamic programming operator.  Growth rates of min/max-linear maps
-are computed entirely through that conjugate in log space, so iterates
+are iterated entirely through that conjugate in log space, so iterates
 never overflow, and the min-linear conjugate,
 ``make_conjugate(min_linear(W))``, is the risk-sensitive operator
 h -> min_p log sum_j p_j e^{h_j} in its stable log-sum-exp form.
@@ -14,11 +14,13 @@ The growth rate of a min/max-linear map is first sought by policy
 iteration over row selections (Rothblum 1984; Cochet-Terrasson, Cohen,
 Gaubert, McGettrick & Quadrat 1998), certified by the Collatz-Wielandt
 bracket: for any x > 0, every coordinate's rate lies in
-[min_i T(x)_i/x_i, max_i T(x)_i/x_i].  Maps whose bracket does not close,
-reducible ones such as diag(2, 3) among them, and explicit maps iterate
-the conjugate for n steps instead.  An explicit map's conjugate is still
-the literal :func:`log_glasses_apply`, which overflows: ``2*f1, 3*f2``
-raises :class:`PositivityError` at n = 10000.
+[min_i T(x)_i/x_i, max_i T(x)_i/x_i] (Horn & Johnson, Matrix Analysis, 8.1),
+read off the products W @ x of the max-scaled weights.  Maps whose
+bracket does not close, reducible ones such as diag(2, 3) among them,
+maps whose T(x) underflows and explicit maps iterate the conjugate for n
+steps instead.  An explicit map's conjugate is still the literal
+:func:`log_glasses_apply`, which overflows: ``2*f1, 3*f2`` raises
+:class:`PositivityError` at n = 10000.
 """
 from __future__ import annotations
 
@@ -45,9 +47,11 @@ _REDUCE = {"minLinear": np.minimum.reduce, "maxLinear": np.maximum.reduce}
 # policy iteration: the row a coordinate prefers, and "strictly better"
 _PREFER = {"minLinear": (np.argmin, np.less), "maxLinear": (np.argmax, np.greater)}
 # a bracket is closed once log hi - log lo is at most BRACKET_TOL; policy
-# iteration gives up after MAX_POLICY_STEPS Perron vectors
+# iteration gives up after MAX_POLICY_STEPS Perron vectors, and each Perron
+# vector takes at most MAX_SQUARINGS squarings
 BRACKET_TOL = 1e-12
 MAX_POLICY_STEPS = 100
+MAX_SQUARINGS = 64
 
 
 @dataclass(frozen=True)
@@ -204,12 +208,18 @@ class GrowthBracket(NamedTuple):
 
 
 def _perron_vector(A: np.ndarray) -> np.ndarray | None:
-    """Eigenvector of the eigenvalue of A with the largest real part, the
-    Perron root of a nonnegative matrix, scaled to a largest entry of 1;
-    None unless it is finite and strictly positive."""
-    lam, V = np.linalg.eig(A)
-    v = V[:, lam.real.argmax()]
-    x = (v / v[np.abs(v).argmax()]).real
+    """Perron vector of a nonnegative A, scaled to a largest entry of 1;
+    None unless it is finite and strictly positive.  The max-normalized
+    powers B^(2^k) of B = A/max(A) + I converge, as the shift leaves the
+    Perron root the only eigenvalue of largest modulus, periodic A
+    included; the column holding their largest entry is returned."""
+    B = A / A.max() + np.eye(len(A))
+    for _ in range(MAX_SQUARINGS):
+        B, C = B @ B, B
+        B /= B.max()
+        if np.abs(B - C).max() <= 1e-15:
+            break
+    x = B[:, B.argmax() % len(B)]
     return x if np.isfinite(x).all() and (x > 0).all() else None
 
 
@@ -217,21 +227,23 @@ def growth_bracket(T: MonotoneMap) -> GrowthBracket | None:
     """A closed Collatz-Wielandt bracket on the growth rate of a min- or
     max-linear map, found by policy iteration over row selections.
 
-    Each step takes the Perron vector x of the matrix of the selected rows
-    and brackets the rate by the extremes of log T(x) - log x, evaluated
-    by the conjugate.  The bracket holds for any x > 0 and any
-    order-preserving, positively homogeneous T; once log hi - log lo is at
-    most ``BRACKET_TOL`` it is returned, and every coordinate grows at
-    one rate within it.  Otherwise each coordinate switches to a strictly
-    better row (smaller for min, larger for max) and the step repeats.
-    None when T is explicit, a Perron vector is not strictly positive (a
-    reducible map, such as diag(2, 3)), no row improves on an open
-    bracket, or ``MAX_POLICY_STEPS`` pass.
+    The weights are scaled by their largest entry.  Each step takes the
+    Perron vector x of the matrix of the selected rows and brackets the
+    rate by the extremes of T(x)/x, T(x) reduced from the products W @ x
+    that also pick the next rows.  The bracket holds for any x > 0 and
+    any order-preserving, positively homogeneous T; once log hi - log lo
+    is at most ``BRACKET_TOL`` it is returned, and every coordinate grows
+    at one rate within it.  Otherwise each coordinate switches to a
+    strictly better row (smaller for min, larger for max) and the step
+    repeats.  None when T is explicit, a Perron vector is not strictly
+    positive (a reducible map, such as diag(2, 3)), a T(x)_i is subnormal
+    (no bracket is read off a product that lost relative accuracy), no
+    row improves on an open bracket, or ``MAX_POLICY_STEPS`` pass.
     """
     if T.kind == "explicitExpr":
         return None
-    W = T._padded
-    step = make_conjugate(T)
+    scale = float(T._padded.max())
+    W = T._padded / scale
     prefer, better = _PREFER[T.kind]
     rows = np.arange(T.d)
     selection = prefer(W.sum(axis=2), axis=1)  # the best rows at x = 1
@@ -239,11 +251,13 @@ def growth_bracket(T: MonotoneMap) -> GrowthBracket | None:
         x = _perron_vector(W[rows, selection])
         if x is None:
             return None
-        log_x = np.log(x)
-        r = step(log_x) - log_x
-        if r.max() - r.min() <= BRACKET_TOL:
-            return GrowthBracket(math.exp(r.min()), math.exp(r.max()))
         values = W @ x
+        Tx = _REDUCE[T.kind](values, axis=1)
+        if Tx.min() < np.finfo(float).tiny:
+            return None
+        r = np.log(Tx / x)
+        if r.max() - r.min() <= BRACKET_TOL:
+            return GrowthBracket(scale * math.exp(r.min()), scale * math.exp(r.max()))
         best = prefer(values, axis=1)
         switch = better(values[rows, best], values[rows, selection])
         if not switch.any():

@@ -325,6 +325,7 @@ def test_certified_rate_matches_selection_enumeration(maker, reduce):
         want = _selection_growth(fams, reduce)
         lo, hi = growth_bracket(T)
         assert lo <= hi and math.log(hi) - math.log(lo) <= pf.BRACKET_TOL
+        assert lo * (1 - 1e-14) <= want <= hi * (1 + 1e-14)
         for e in (np.ones(d), rng.uniform(0.2, 5.0, d)):
             assert np.abs(growth_rate(T, e, 10_000) / want - 1).max() <= 1e-12
 
@@ -342,6 +343,41 @@ def test_maps_without_a_closed_bracket_fall_back_to_the_orbit(T):
     e = np.linspace(0.5, 2.0, T.d)
     for n in (1, 2, 64):
         assert np.array_equal(growth_rate(T, e, n), growth_rates(T, e, [n])[0])
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 30])
+def test_perron_vector_matches_the_eigendecomposition(d):
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        A = rng.uniform(0.01, 1.0, (d, d))
+        lam, V = np.linalg.eig(A)
+        v = V[:, lam.real.argmax()]
+        want = (v / v[np.abs(v).argmax()]).real
+        x = pf._perron_vector(A)
+        assert x.max() == 1.0 and np.abs(x - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("T, want", [
+    (max_linear([[(0.0, 2.0)], [(3.0, 0.0)]]), math.sqrt(6)),
+    (min_linear([[(0.0, 2.0, 0.0)], [(0.0, 0.0, 1.0)], [(5.0, 0.0, 0.0)]]), 10 ** (1 / 3)),
+    # the first coordinate grows like n 0.1^n, so the orbit's estimate
+    # reaches the rate 0.1 only as 2 log 2 / n in logs
+    (min_linear([[(0.1, 0.392)], [(0.0, 0.1)]]), 0.1),
+], ids=["2-cycle", "3-cycle", "jordan"])
+def test_maps_with_zero_weights_close_their_bracket(T, want):
+    # the cycles' powers cycle, and the Jordan block has no positive
+    # eigenvector, but the shifted matrix's normalized powers converge
+    lo, hi = growth_bracket(T)
+    assert type(lo) is float and type(hi) is float  # the CLI prints their repr
+    assert lo * (1 - 1e-14) <= want <= hi * (1 + 1e-14) and hi / lo - 1 <= 1e-14
+    assert np.abs(growth_rates(T, np.ones(T.d), [20_000])[0] / want - 1).max() <= 1e-4
+
+
+def test_a_subnormal_image_takes_the_orbit():
+    # T(x)_1 = 1e-310 (x_0 + x_1) is subnormal: it has lost relative accuracy
+    T = min_linear([[(1.0, 0.0)], [(1e-310, 1e-310)]])
+    assert growth_bracket(T) is None
+    assert np.array_equal(growth_rate(T, np.ones(2), 64), growth_rates(T, np.ones(2), [64])[0])
 
 
 def test_policy_iteration_keeps_a_row_on_ties():
