@@ -25,8 +25,8 @@ from .pf import MonotoneMap, explicit_map, growth_rate, max_linear, min_linear
 from .shapley import PropertyReport, ShapleyOperator, check_properties
 from .values import (DeviationCheck, PowerLawFit, RateFit, discounted_value,
                      discounted_value_detailed, iterate_deviation_check,
-                     n_stage_series, operator_distance, rate_fit,
-                     value_iteration, vanishing_discount)
+                     n_stage_series, rate_fit, value_iteration,
+                     vanishing_discount)
 
 __version__ = "0.1.0"
 
@@ -40,8 +40,7 @@ __all__ = [
     "ShapleyOperator", "PropertyReport", "check_properties",
     "value_iteration", "n_stage_series", "discounted_value",
     "discounted_value_detailed", "vanishing_discount", "PowerLawFit",
-    "rate_fit", "RateFit", "operator_distance", "iterate_deviation_check",
-    "DeviationCheck",
+    "rate_fit", "RateFit", "iterate_deviation_check", "DeviationCheck",
     "SeparableSpec", "separable_value", "ConvexGameSpec", "convex_value",
     "mckinsey_value", "mckinsey_grid_value",
     "MonotoneMap", "min_linear", "max_linear", "explicit_map", "growth_rate",

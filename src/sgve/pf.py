@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 KINDS = ("minLinear", "maxLinear", "explicitExpr")
+# what float() reads as a number but is none: JSON's true and "1.5"
+_NOT_WEIGHTS = (bool, np.bool_, str, bytes)
 # ufunc reductions: the Python wrappers of np.min and np.max cost ~10% of a step
 _REDUCE = {"minLinear": np.minimum.reduce, "maxLinear": np.maximum.reduce}
 # policy iteration: the row a coordinate prefers, and "strictly better"
@@ -92,8 +94,10 @@ class MonotoneMap:
                 if len(p) != self.d:
                     raise GameSpecError(f"weight vector of wrong length in coordinate {i}")
                 try:
+                    if any(isinstance(x, _NOT_WEIGHTS) for x in p):
+                        raise TypeError
                     p = tuple(map(float, p))
-                except (TypeError, ValueError, OverflowError):  # a sequence, text, a huge int
+                except (TypeError, ValueError, OverflowError):  # a sequence, a huge int
                     raise TypeError("weights must be numbers that convert to float") from None
                 if not all(map(math.isfinite, p)):
                     raise GameSpecError(f"non-finite weight in coordinate {i}")
@@ -273,7 +277,9 @@ def _checked_start(T: MonotoneMap, e, ns: Sequence[int]) -> np.ndarray:
     for n in ns:
         checked_count(n, 1, "n", ValueError)
     e = np.asarray(e, dtype=float)
-    if e.shape != (T.d,) or not np.all(e > 0) or not np.isfinite(e).all():
+    if e.shape != (T.d,):
+        raise ValueError(f"starting vector must have length {T.d}")
+    if not np.all(e > 0) or not np.isfinite(e).all():
         raise PositivityError("starting vector must be finite and strictly positive")
     return e
 

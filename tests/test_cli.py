@@ -295,6 +295,9 @@ def test_growth_invalid_map_exits_2(tmp_path, capsys):
     "[1, 2]",  # not an object
     json.dumps({"d": 2, "kind": "minLinear", "weights": [[[2.0, 0.0]]]}),
     "{not json",
+    # weights that float() reads as numbers but are none
+    json.dumps({"d": 2, "kind": "minLinear", "weights": [[[True, 1]], [[1, False]]]}),
+    json.dumps({"d": 2, "kind": "minLinear", "weights": [[["1.5", 1]], [[1, 1]]]}),
 ])
 def test_growth_malformed_map_exits_2(tmp_path, capsys, text):
     path = tmp_path / "map.json"

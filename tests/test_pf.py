@@ -224,6 +224,11 @@ def test_weights_are_stored_as_float_tuples():
         min_linear([[[[1.0], 1.0]], [_OK]])
     with pytest.raises(TypeError, match="weights must be numbers"):
         min_linear([[(10 ** 400, 1.0)], [_OK]])
+    # float() reads these as 1.0, 0.0 and 1.5; a weight must be a number
+    for bad in ([[(True, 1)], [(1, False)]], [[(np.True_, 1.0)], [_OK]],
+                [[("1.5", 1.0)], [_OK]]):
+        with pytest.raises(TypeError, match="weights must be numbers"):
+            min_linear(bad)
 
 
 def test_weight_array_leaves_equality_hash_and_repr_alone():
@@ -418,6 +423,9 @@ def test_growth_rate_argument_errors():
         growth_rates(T, np.ones(2), [4, 0])
     with pytest.raises(PositivityError):
         growth_rate(T, np.array([1.0, 0.0]), 5)
+    # finite and positive, but of the wrong length
+    with pytest.raises(ValueError, match="starting vector must have length 2"):
+        growth_rate(T, np.ones(3), 5)
     for bad in (np.inf, np.nan):
         with pytest.raises(PositivityError):
             growth_rate(T, np.array([bad, 1.0]), 5)

@@ -12,8 +12,8 @@ from sgve.shapley import ShapleyOperator
 from sgve.values import (DeviationCheck, PowerLawFit, default_lambda_grid,
                          discounted_value, discounted_value_detailed,
                          fit_power_law, iterate_deviation_check,
-                         n_stage_series, operator_distance, rate_fit,
-                         value_iteration, vanishing_discount)
+                         n_stage_series, rate_fit, value_iteration,
+                         vanishing_discount)
 
 TOL = 1e-9
 EXP_QUARTER = 0.2840254166877414  # e^{1/4} - 1
@@ -212,20 +212,13 @@ def test_n_stage_series_matches_value_iteration_across_the_early_stop(
 
 
 def test_iterate_deviation_check_iterates_the_whole_orbit(common_limit_ops, monkeypatch):
-    # it checks the orbit itself, so it takes no early stop
+    # it checks the orbits themselves, so it takes no early stop: each step
+    # advances both orbits and applies op1 at op2's point
     op1, op2 = common_limit_ops[:2]
-    samples = []
-
-    def operator_distance(a, b, extra_samples=()):
-        samples.extend(extra_samples)
-        return 1.0
-
-    monkeypatch.setattr(values_module, "operator_distance", operator_distance)
     calls = count_applies(monkeypatch)
     n = 100
     assert iterate_deviation_check(op1, op2, n).passed
-    assert [sum(c is op for c in calls) for op in (op1, op2)] == [n, n]
-    assert len(samples) == 2 * n
+    assert [sum(c is op for c in calls) for op in (op1, op2)] == [2 * n, n]
 
 
 def test_discounted_benchmark_closed_form(exshap_op):
@@ -557,23 +550,24 @@ def shifted_payoff(game: DiscretizedGame, delta: float) -> DiscretizedGame:
                            rho=game.rho, controller=game.controller)
 
 
-def test_operator_distance_self_is_zero():
+def test_deviation_distance_of_an_operator_to_itself():
     rng = np.random.default_rng(30)
     op = ShapleyOperator(bench.random_discretized_game(rng, 2), tol=TOL)
-    assert operator_distance(op, op) <= 2 * TOL
+    assert iterate_deviation_check(op, op, 12).distance <= 2 * TOL
 
 
-def test_operator_distance_constant_shift():
+def test_deviation_distance_of_a_constant_shift():
     rng = np.random.default_rng(31)
     game = bench.random_discretized_game(rng, 3)
     op = ShapleyOperator(game, tol=TOL)
     for eps in (1e-3, 0.2):
         op2 = ShapleyOperator(shifted_payoff(game, eps), tol=TOL)
-        dist = operator_distance(op, op2)
+        dist = iterate_deviation_check(op, op2, 10).distance
         assert abs(dist - eps) <= 2 * TOL
 
 
-def test_operator_distance_payoff_zeroed(exshap_op_coarse):
+def test_deviation_distance_of_a_zeroed_payoff(exshap_op_coarse):
+    # at f2_0 = 0 the zeroed game's value is 0 and the other's the one-shot value
     game = exshap_op_coarse.game
     zeroed = DiscretizedGame(states=game.states, grids_x=game.grids_x,
                              grids_y=game.grids_y,
@@ -581,7 +575,35 @@ def test_operator_distance_payoff_zeroed(exshap_op_coarse):
                              rho=game.rho)
     op0 = ShapleyOperator(zeroed, tol=1e-6)
     one_shot = np.abs(exshap_op_coarse.apply(np.zeros(2))).max()
-    assert operator_distance(exshap_op_coarse, op0) >= one_shot - 1e-12
+    check = iterate_deviation_check(exshap_op_coarse, op0, 5)
+    assert check.distance >= one_shot - 1e-12
+
+
+@pytest.mark.parametrize("smooth", [False, True])
+@pytest.mark.parametrize("seed", [35, 36])
+def test_deviation_distance_is_the_largest_gap_on_the_second_orbit(seed, smooth):
+    # criterion 6's perturbations of a random game, eps or eps * x * y on
+    # the unit box: the distance is max_t |T1(f2_t) - T2(f2_t)| over op2's
+    # orbit, recomputed here with op1 unhinted, so within 2 * tol
+    rng = np.random.default_rng(seed)
+    game = bench.random_discretized_game(rng, 3)
+    eps = float(rng.choice([1e-3, 1e-2]))
+    pert = DiscretizedGame(
+        states=game.states, grids_x=game.grids_x, grids_y=game.grids_y,
+        g=tuple(gk + eps * (np.outer(gx[:, 0], gy[:, 0]) if smooth else 1.0)
+                for gk, gx, gy in zip(game.g, game.grids_x, game.grids_y)),
+        rho=game.rho)
+    op1, op2 = ShapleyOperator(game, tol=TOL), ShapleyOperator(pert, tol=TOL)
+    n = 30
+    check = iterate_deviation_check(op1, op2, n)
+    assert check.passed
+    want, f, hints = 0.0, np.zeros(3), None
+    for _ in range(n):
+        nxt, _, hints = op2.apply_with_gaps(f, hints)
+        want = max(want, float(np.abs(op1.apply_with_gaps(f)[0] - nxt).max()))
+        f = nxt
+    assert abs(check.distance - want) <= 2 * TOL
+    assert check.bound == n * check.distance + 2 * n * TOL
 
 
 def test_deviation_check_identical():
@@ -628,7 +650,7 @@ def test_deviation_check_random_perturbation():
     (lambda op: value_iteration(op, True), ValueError, "n must be an integer >= 1, got True"),
     (lambda op: rate_fit([(0, [1.0]), (1, [0.5]), (2, [0.3]), (4, [0.2])], [0.0]),
      ValueError, "horizons must be positive"),
-    (lambda op: operator_distance(op, constant_operator(3, 0.5)),
+    (lambda op: iterate_deviation_check(op, constant_operator(3, 0.5), 10),
      GameSpecError, "operators must share the state space"),
     (lambda op: iterate_deviation_check(op, op, 0),
      ValueError, "n must be an integer >= 1, got 0"),
