@@ -5,7 +5,7 @@ action boxes: gap-certified matrix games, the per-state dynamic programming
 operator (whose tagged forms only declare the game class), n-stage and
 discounted values, their common vanishing-discount limit with power-law
 extrapolation, parametric one-shot games, and geometric growth rates of
-order-preserving maps through log/exp conjugation.
+order-preserving maps (a Collatz-Wielandt bracket, else log/exp conjugation).
 
 The package exports what the CLI and ``sgve bench`` run.  The conjugate
 itself, including the risk-sensitive operator

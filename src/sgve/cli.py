@@ -21,11 +21,10 @@ import numpy as np
 
 from . import values
 from .bench import SUITES, run_suite
-from .errors import (GameSpecError, IterationBudgetError, MatrixGameError,
-                     PositivityError, SgveError, checked_count)
+from .errors import IterationBudgetError, MatrixGameError, PositivityError, SgveError
 from .game import discretize
 from .gamefile import game_spec_from_document, load_game_document, load_monotone_map
-from .pf import growth_bracket, growth_rates
+from .pf import _checked_start, growth_bracket, growth_rates
 from .shapley import ShapleyOperator
 
 EXIT_OK = 0
@@ -128,16 +127,13 @@ def _cmd_bench(args) -> int:
 
 def _cmd_growth(args) -> int:
     T = load_monotone_map(args.mapfile)
-    e = np.ones(T.d) if args.start is None else np.asarray(args.start, dtype=float)
-    if e.shape != (T.d,) or not (np.isfinite(e).all() and (e > 0).all()):
-        raise GameSpecError(f"--e must list {T.d} finite, positive starting values")
-    n = checked_count(args.n, 1, "n", ValueError)
+    e = _checked_start(T, np.ones(T.d) if args.start is None else args.start, [args.n])
     bracket = growth_bracket(T)
     if bracket is not None:
         print("growth rate:", " ".join([repr(bracket.rate)] * T.d))
         print(f"collatz-wielandt bracket: {bracket.lo!r} {bracket.hi!r}")
         return EXIT_OK
-    ns = [n, n // 2] if n >= 2 else [n]
+    ns = [args.n, args.n // 2] if args.n >= 2 else [args.n]
     chi, *half = growth_rates(T, e, ns)
     print("growth rate:", " ".join(repr(float(x)) for x in chi))
     if half:

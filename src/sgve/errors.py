@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package, and its one count rule."""
+"""Exception hierarchy shared across the package, its one count rule, and
+one class per kind of bad input, raised by the check that owns it:
+``ValueError`` for a bad argument to a computation (a value, start or hint
+vector, a horizon), :class:`GameSpecError` for a bad game or map description,
+:class:`MatrixGameError` for a bad matrix-game input; :class:`PositivityError`
+only for a map's output leaving the open cone."""
 import operator
 
 

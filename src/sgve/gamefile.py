@@ -48,7 +48,7 @@ def _box_from(node, who: str) -> tuple[tuple[float, float], ...]:
 
 
 def game_spec_from_document(doc: dict) -> tuple[GameSpec, str]:
-    """Validate a game document and parse its expressions.
+    """Parse a game document; :class:`GameSpec` checks its counts and lengths.
 
     Returns the spec together with the operator form ("general" unless the
     document sets "kind").
@@ -62,18 +62,16 @@ def game_spec_from_document(doc: dict) -> tuple[GameSpec, str]:
         transition = doc["transition"]
     except (KeyError, TypeError) as exc:
         raise GameSpecError(f"missing required field: {exc}") from None
-    d = checked_count(d, 1, "states", GameSpecError)
     if not isinstance(actions, dict) or set(actions) != {"x", "y"}:
         raise GameSpecError('actions must be an object with keys "x" and "y"')
     x_box = _box_from(actions["x"], "x")
     y_box = _box_from(actions["y"], "y")
     names = action_variables("x", len(x_box)) + action_variables("y", len(y_box))
 
-    if not isinstance(payoff, list) or len(payoff) != d:
-        raise GameSpecError(f"payoff must list {d} expression strings")
-    if (not isinstance(transition, list) or len(transition) != d
-            or any(not isinstance(row, list) or len(row) != d for row in transition)):
-        raise GameSpecError(f"transition must be a {d}x{d} table of expression strings")
+    if not isinstance(payoff, list):
+        raise GameSpecError("payoff must be a list of expression strings")
+    if not isinstance(transition, list) or any(not isinstance(r, list) for r in transition):
+        raise GameSpecError("transition must be a table of expression strings")
 
     def parse_one(text, where):
         if not isinstance(text, str):
@@ -90,7 +88,7 @@ def game_spec_from_document(doc: dict) -> tuple[GameSpec, str]:
 
     controller = doc.get("controller")
     if controller is not None:
-        if (not isinstance(controller, list) or len(controller) != d
+        if (not isinstance(controller, list)
                 or any(t not in ("p1", "p2", None) for t in controller)):
             raise GameSpecError('controller must list "p1", "p2", or null per state')
         controller = tuple(controller)

@@ -4,8 +4,8 @@ growth rates.
 A map built from per-coordinate finite families of nonnegative weight
 vectors (min or max of linear forms) conjugates under entrywise log/exp
 into an operator that is monotone and commutes with additive constants,
-i.e. a dynamic programming operator.  Growth rates of min/max-linear maps
-are iterated entirely through that conjugate in log space, so iterates
+i.e. a dynamic programming operator.  A min/max-linear map whose bracket
+(below) does not close is iterated through it in log space, so iterates
 never overflow, and the min-linear conjugate,
 ``make_conjugate(min_linear(W))``, is the risk-sensitive operator
 h -> min_p log sum_j p_j e^{h_j} in its stable log-sum-exp form.
@@ -280,7 +280,7 @@ def _checked_start(T: MonotoneMap, e, ns: Sequence[int]) -> np.ndarray:
     if e.shape != (T.d,):
         raise ValueError(f"starting vector must have length {T.d}")
     if not np.all(e > 0) or not np.isfinite(e).all():
-        raise PositivityError("starting vector must be finite and strictly positive")
+        raise ValueError("starting vector must be finite and strictly positive")
     return e
 
 

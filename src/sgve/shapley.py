@@ -71,16 +71,16 @@ class ShapleyOperator:
     def _check_input(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape != (self.dim,):
-            raise GameSpecError(f"value vector must have length {self.dim}")
+            raise ValueError(f"value vector must have length {self.dim}")
         if not np.isfinite(f).all():
-            raise GameSpecError("value vector must be finite")
+            raise ValueError("value vector must be finite")
         return f
 
     def _check_hints(self, hints) -> Sequence[MatrixGameSolution | None]:
         if hints is None:
             return (None,) * self.dim
         if len(hints) != self.dim:
-            raise GameSpecError(f"need one hint per state, got {len(hints)}")
+            raise ValueError(f"need one hint per state, got {len(hints)}")
         return hints
 
     def state_matrix(self, k: int, f: np.ndarray) -> np.ndarray:
@@ -116,10 +116,10 @@ class ShapleyOperator:
         """
         F = np.asarray(F, dtype=float)
         if F.ndim != 2 or F.shape[0] == 0 or F.shape[1] != self.dim:
-            raise GameSpecError(f"value vectors must be the rows of an (s, {self.dim}) "
-                                f"array with s >= 1, got shape {F.shape}")
+            raise ValueError(f"value vectors must be the rows of an (s, {self.dim}) "
+                             f"array with s >= 1, got shape {F.shape}")
         if not np.isfinite(F).all():
-            raise GameSpecError("value vectors must be finite")
+            raise ValueError("value vectors must be finite")
         hints = self._check_hints(hints)
         values, gaps = np.empty(F.shape), np.empty(F.shape)
         for k in range(self.dim):

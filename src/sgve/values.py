@@ -131,7 +131,7 @@ def _checked_profile(op: ShapleyOperator, hints: Sequence[MatrixGameSolution],
     hints = op._check_hints(hints)
     for k, (h, g) in enumerate(zip(hints, op.game.g)):
         if h is None:
-            raise GameSpecError(f"no hint for state {k}")
+            raise ValueError(f"no hint for state {k}")
         _check_hint(h, g.shape)
     return hints
 
@@ -171,8 +171,8 @@ def discounted_value_detailed(op: ShapleyOperator, lam: float, eps: float,
     included.  ``hints`` are per-state solutions, one per state, that hint
     the first application (see :meth:`ShapleyOperator.apply_with_gaps`);
     each later one is hinted by the application at the point it moves
-    from.  Hints that do not fit the game raise :class:`GameSpecError` (a
-    missing state) or :class:`MatrixGameError` (a strategy length).  More
+    from.  Hints that do not fit the game raise ``ValueError`` (a count or
+    a missing state) or :class:`MatrixGameError` (a strategy length).  More
     than ``MAX_FIXED_POINT_ITERATIONS`` applications raise
     :class:`IterationBudgetError`.
     """
@@ -339,8 +339,7 @@ def rate_fit(series: Iterable[tuple[int, np.ndarray]], v_inf) -> RateFit:
     v_inf = np.asarray(v_inf, dtype=float)
     ns, errs = [], []
     for n, vn in series:
-        if n < 1:
-            raise ValueError("horizons must be positive")
+        checked_count(n, 1, "n", ValueError)
         e = float(np.abs(np.asarray(vn, float) - v_inf).max())
         if e > INCREMENT_FLOOR:
             ns.append(float(n))

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from sgve import bench
 from sgve import game as game_module
+from sgve.cli import main
 from sgve.errors import GameSpecError
 from sgve.game import DiscretizedGame, discretize
+from sgve.pf import growth_bracket, growth_rate, min_linear
 from sgve.shapley import ShapleyOperator, check_properties
 
 TOL = 1e-9
@@ -53,9 +57,9 @@ def test_benchmark_second_component_at_zero():
 
 def test_dimension_mismatch():
     op = ShapleyOperator(constant_game(2, 0.0), tol=TOL)
-    with pytest.raises(GameSpecError):
+    with pytest.raises(ValueError, match="value vector must have length 2"):
         op.apply(np.zeros(3))
-    with pytest.raises(GameSpecError):
+    with pytest.raises(ValueError, match="value vector must be finite"):
         op.apply(np.array([np.inf, 0.0]))
 
 
@@ -213,7 +217,7 @@ def test_shifted_vector_reuses_hints(monkeypatch):
 def test_hint_count_must_match_states():
     op = ShapleyOperator(constant_game(2, 1.0), tol=TOL)
     _, _, hints = op.apply_with_gaps(np.zeros(2))
-    with pytest.raises(GameSpecError, match="one hint per state"):
+    with pytest.raises(ValueError, match="one hint per state"):
         op.apply_with_gaps(np.zeros(2), hints[:1])
 
 
@@ -290,16 +294,51 @@ def test_apply_stack_rows_equal_apply_with_gaps_bit_for_bit():
 def test_apply_stack_rejects_bad_rows_and_hints():
     op = ShapleyOperator(constant_game(2, 1.0), tol=TOL)
     for F in (np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(2), np.zeros((0, 2))):
-        with pytest.raises(GameSpecError, match="rows of an"):
+        with pytest.raises(ValueError, match="rows of an"):
             op.apply_stack(F)
     for bad in (np.nan, np.inf):
         F = np.zeros((3, 2))
         F[1, 0] = bad
-        with pytest.raises(GameSpecError, match="finite"):
+        with pytest.raises(ValueError, match="finite"):
             op.apply_stack(F)
     _, _, hints = op.apply_with_gaps(np.zeros(2))
-    with pytest.raises(GameSpecError, match="one hint per state"):
+    with pytest.raises(ValueError, match="one hint per state"):
         op.apply_stack(np.zeros((3, 2)), hints[:1])
+
+
+# a value vector of a 2-state game and a start vector of a 2-dimensional
+# map are both bad when they are of the wrong length or not finite; a start
+# vector is also bad when an entry is not positive
+_BAD_VECTORS = {"length": [1.0, 1.0, 1.0], "nan": [np.nan, 1.0], "inf": [np.inf, 1.0],
+                "zero": [0.0, 1.0], "negative": [-1.0, 1.0]}
+_VALUE_ENTRIES = ("apply_with_gaps", "apply_stack", "check_properties")
+_START_ENTRIES = ("growth_rate", "cli")
+
+
+@pytest.mark.parametrize("entry, bad", [
+    pytest.param(entry, bad, id=f"{entry}-{bad}")
+    for bad in _BAD_VECTORS for entry in _VALUE_ENTRIES + _START_ENTRIES
+    if entry in _START_ENTRIES or bad not in ("zero", "negative")])
+def test_every_entry_rejects_a_bad_vector_alike(tmp_path, capsys, entry, bad):
+    v = np.array(_BAD_VECTORS[bad])
+    op = ShapleyOperator(constant_game(2, 1.0), tol=TOL)
+    T = min_linear([[[1.0, 2.0]], [[3.0, 1.0]]])  # irreducible: its bracket closes
+    calls = {"apply_with_gaps": lambda: op.apply_with_gaps(v),
+             "apply_stack": lambda: op.apply_stack(v[None]),
+             "check_properties": lambda: check_properties(op, [(v, np.zeros(2))]),
+             "growth_rate": lambda: growth_rate(T, v, 10)}
+    if entry in calls:
+        with pytest.raises(ValueError):
+            calls[entry]()
+        return
+    assert growth_bracket(T) is not None
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"d": T.d, "kind": T.kind, "weights": T.weights}))
+    # "--e=" keeps argparse from reading a leading "-1.0" as an option
+    assert main(["growth", str(path), "--e=" + ",".join(map(repr, v.tolist()))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_check_properties_makes_two_evaluations_per_pair(monkeypatch):

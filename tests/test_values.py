@@ -366,8 +366,8 @@ def test_hints_that_do_not_fit_raise_before_the_start(exshap_op_coarse):
     op = exshap_op_coarse
     hints = discounted_value_detailed(op, 0.5, 1e-6).hints
     short = MatrixGameSolution(0.0, np.full(3, 1 / 3), np.full(3, 1 / 3), 0.0)
-    for bad, error, match in ((hints[:1], GameSpecError, "one hint per state"),
-                              ((hints[0], None), GameSpecError, "no hint for state 1"),
+    for bad, error, match in ((hints[:1], ValueError, "one hint per state"),
+                              ((hints[0], None), ValueError, "no hint for state 1"),
                               ((short, hints[1]), MatrixGameError, "hint strategies")):
         with pytest.raises(error, match=match):
             discounted_value_detailed(op, 0.4, 1e-6, hints=bad)
@@ -649,7 +649,11 @@ def test_deviation_check_random_perturbation():
      "n must be an integer >= 1, got 2.5"),
     (lambda op: value_iteration(op, True), ValueError, "n must be an integer >= 1, got True"),
     (lambda op: rate_fit([(0, [1.0]), (1, [0.5]), (2, [0.3]), (4, [0.2])], [0.0]),
-     ValueError, "horizons must be positive"),
+     ValueError, "n must be an integer >= 1, got 0"),
+    (lambda op: rate_fit([(True, [1.0]), (2, [0.5])], [0.0]),
+     ValueError, "n must be an integer >= 1, got True"),
+    (lambda op: rate_fit([(1, [1.0]), (2.5, [0.5])], [0.0]),
+     ValueError, "n must be an integer >= 1, got 2.5"),
     (lambda op: iterate_deviation_check(op, constant_operator(3, 0.5), 10),
      GameSpecError, "operators must share the state space"),
     (lambda op: iterate_deviation_check(op, op, 0),
@@ -658,7 +662,8 @@ def test_deviation_check_random_perturbation():
      ValueError, "n must be an integer >= 1, got 2.5"),
 ], ids=["value-iteration-n", "no-horizons", "zero-horizon",
         "value-iteration-fraction", "series-fraction", "value-iteration-bool",
-        "rate-fit-zero-horizon", "state-spaces", "deviation-n", "deviation-fraction"])
+        "rate-fit-zero-horizon", "rate-fit-bool-horizon", "rate-fit-fraction",
+        "state-spaces", "deviation-n", "deviation-fraction"])
 def test_values_input_checks(call, error, match):
     with pytest.raises(error, match=match):
         call(constant_operator(2, 0.5))
