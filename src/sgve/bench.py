@@ -1,5 +1,5 @@
-"""Built-in benchmark games with analytic oracles, plus the acceptance
-suite binding them to solver runs.
+"""Analytic oracles for the builtin games of :mod:`sgve.gamefile`, plus
+the acceptance suite binding them to solver runs.
 
 Two closed forms anchor everything:
 
@@ -20,15 +20,14 @@ import numpy as np
 
 from . import expr as ex
 from . import parametric, pf, values
-from .errors import GameSpecError
 from .game import DiscretizedGame, GameSpec, _exact_row_sums, discretize, \
     matrix_game_bruteforce, solve_matrix_game
+from .gamefile import exshap_game_file, game_spec_from_document
 from .shapley import ShapleyOperator, check_properties
 
 __all__ = [
     "CriterionResult", "SUITES", "run_suite", "run_criteria",
-    "exshap_game_file", "exshap_spec",
-    "builtin_game_file",
+    "exshap_spec",
     "random_discretized_game", "perron_root", "kl_dual_grid_max",
     "kl_dual_certified_slack",
 ]
@@ -46,39 +45,7 @@ PERRON_MAX_ITERATIONS = 200_000
 # benchmark catalog
 # ---------------------------------------------------------------------------
 
-def exshap_game_file() -> dict:
-    """The two-state absorbing benchmark as a plain game-file document."""
-    stay = "(1+x)*y/(2*(1+x*y)^2)"
-    return {
-        "states": 2,
-        "actions": {"x": [[0.0, 1.0]], "y": [[0.0, 1.0]]},
-        "payoff": ["0", "(1+x)/(2*(1+x*y)^2)"],
-        "transition": [["1", "0"],
-                       [f"1 - {stay}", stay]],
-    }
-
-
-def mckinsey_game_file() -> dict:
-    """The parametric square benchmark at z = 1, as a one-state absorbing
-    game file (one-shot value shows up as the lam = 1 solve)."""
-    return {
-        "states": 1,
-        "actions": {"x": [[0.0, 1.0]], "y": [[0.0, 1.0]]},
-        "payoff": [parametric._MCKINSEY_PAYOFF.format(z=1.0)],
-        "transition": [["1"]],
-    }
-
-
-def builtin_game_file(name: str) -> dict:
-    if name == "exshap":
-        return exshap_game_file()
-    if name == "mckinsey":
-        return mckinsey_game_file()
-    raise GameSpecError(f"unknown builtin benchmark {name!r}")
-
-
 def exshap_spec() -> GameSpec:
-    from .gamefile import game_spec_from_document
     return game_spec_from_document(exshap_game_file())[0]
 
 

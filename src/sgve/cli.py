@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     growth.add_argument("--n", type=int, default=10_000,
                         help="iteration horizon when no bracket closes (default 10000)")
     growth.add_argument("--e", dest="start", type=_list_of(float), default=None,
-                        help="starting vector when no bracket closes (default all ones)")
+                        help="starting vector when no bracket closes (default all ones); "
+                             "write one whose first entry starts with - as --e=-1,1")
     growth.set_defaults(run=_cmd_growth)
     return parser
 

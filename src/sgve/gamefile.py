@@ -1,4 +1,5 @@
-"""JSON document formats: stochastic games and monotone-map descriptions.
+"""JSON document formats: stochastic games and monotone-map descriptions,
+and the paper's two builtin games as ``bench:exshap`` and ``bench:mckinsey``.
 
 A game document looks like::
 
@@ -20,14 +21,14 @@ import json
 from pathlib import Path
 
 from . import expr as ex
-from . import pf
+from . import parametric, pf
 from .errors import GameSpecError, SgveError, checked_count
 from .game import GameSpec, action_variables
 from .shapley import FORMS
 
 __all__ = [
     "game_spec_from_document", "load_game_document", "load_monotone_map",
-    "monotone_map_from_document",
+    "monotone_map_from_document", "exshap_game_file", "builtin_game_file",
 ]
 
 
@@ -102,6 +103,37 @@ def game_spec_from_document(doc: dict) -> tuple[GameSpec, str]:
     return spec, kind
 
 
+def exshap_game_file() -> dict:
+    """The two-state absorbing benchmark as a plain game-file document."""
+    stay = "(1+x)*y/(2*(1+x*y)^2)"
+    return {
+        "states": 2,
+        "actions": {"x": [[0.0, 1.0]], "y": [[0.0, 1.0]]},
+        "payoff": ["0", "(1+x)/(2*(1+x*y)^2)"],
+        "transition": [["1", "0"],
+                       [f"1 - {stay}", stay]],
+    }
+
+
+def mckinsey_game_file() -> dict:
+    """The parametric square benchmark at z = 1, as a one-state absorbing
+    game file (one-shot value shows up as the lam = 1 solve)."""
+    return {
+        "states": 1,
+        "actions": {"x": [[0.0, 1.0]], "y": [[0.0, 1.0]]},
+        "payoff": [parametric._MCKINSEY_PAYOFF.format(z=1.0)],
+        "transition": [["1"]],
+    }
+
+
+def builtin_game_file(name: str) -> dict:
+    if name == "exshap":
+        return exshap_game_file()
+    if name == "mckinsey":
+        return mckinsey_game_file()
+    raise GameSpecError(f"unknown builtin benchmark {name!r}")
+
+
 def _read_json(path: str):
     """The decoded JSON document at ``path``."""
     try:
@@ -117,7 +149,6 @@ def _read_json(path: str):
 def load_game_document(path_or_bench: str) -> dict:
     """Read a game document from a file path or a ``bench:<name>`` pseudo-path."""
     if path_or_bench.startswith("bench:"):
-        from .bench import builtin_game_file
         return builtin_game_file(path_or_bench[len("bench:"):])
     return _read_json(path_or_bench)
 

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import GameSpecError, IterationBudgetError, checked_count
+from .errors import IterationBudgetError, checked_count
 from .game import DiscretizedGame, MatrixGameSolution, _check_hint
 from .shapley import ShapleyOperator
 
@@ -293,7 +293,7 @@ def vanishing_discount(op: ShapleyOperator,
                        lam_grid: Sequence[float] | None = None,
                        eps: float = 1e-6) -> PowerLawFit:
     """Sweep the discounted values down a decreasing lambda grid and
-    extrapolate their common limit with n-stage values.
+    extrapolate their limit by :func:`fit_power_law` in lambda.
 
     Each fixed point after the first is given the previous one's
     solutions as hints, so it starts at the exact value, at the new
@@ -380,7 +380,7 @@ def iterate_deviation_check(op1: ShapleyOperator, op2: ShapleyOperator,
     and ``bound`` is n * distance + 2n * max(op1.tol, op2.tol).
     """
     if op1.dim != op2.dim:
-        raise GameSpecError("operators must share the state space")
+        raise ValueError("operators must share the state space")
     n = checked_count(n, 1, "n", ValueError)
     f1 = f2 = np.zeros(op1.dim)
     hints1 = hints2 = hints12 = None

@@ -37,6 +37,34 @@ def test_builtin_pseudo_paths():
         load_game_document("bench:unheard-of")
 
 
+# the builtin documents, pinned: where they are defined must not change them
+BUILTIN_DOCUMENTS = json.loads("""{
+  "exshap": {"states": 2, "actions": {"x": [[0.0, 1.0]], "y": [[0.0, 1.0]]},
+             "payoff": ["0", "(1+x)/(2*(1+x*y)^2)"],
+             "transition": [["1", "0"],
+                            ["1 - (1+x)*y/(2*(1+x*y)^2)", "(1+x)*y/(2*(1+x*y)^2)"]]},
+  "mckinsey": {"states": 1, "actions": {"x": [[0.0, 1.0]], "y": [[0.0, 1.0]]},
+               "payoff": ["(1+x)*(1+y*1.0)/(2*(1+x*y)^2)"], "transition": [["1"]]}
+}""")
+
+
+def test_builtin_documents_load_without_the_acceptance_suite():
+    # the document module owns the builtin games, so reading one does not
+    # import the acceptance suite
+    src = str(Path(sgve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "from sgve.gamefile import load_game_document\n"
+         "docs = {n: load_game_document('bench:' + n) for n in ('exshap', 'mckinsey')}\n"
+         "assert 'sgve.bench' not in sys.modules\n"
+         "print(json.dumps(docs))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == BUILTIN_DOCUMENTS
+
+
 def test_document_round_trip(tmp_path):
     path = tmp_path / "game.json"
     path.write_text(json.dumps(bench.exshap_game_file()))
@@ -50,6 +78,7 @@ def test_document_round_trip(tmp_path):
     lambda d: d.update(states=0),
     lambda d: d.update(actions={"x": [[0, 1]]}),
     lambda d: d.update(payoff=["0"]),
+    lambda d: d.update(payoff="0"),  # a string is not a list of expressions
     lambda d: d.update(transition=[["1"]]),
     lambda d: d.update(payoff=["0", "1 + unknown_name"]),
     lambda d: d.update(payoff=["0", "1 + * 2"]),

@@ -12,7 +12,7 @@ from sgve.errors import EvalDomainError, GameSpecError, MatrixGameError
 from sgve.game import (DiscretizedGame, GameSpec, MatrixGameSolution,
                        discretize, matrix_game_bruteforce, solve_matrix_game,
                        solve_matrix_game_stack, uniform_grid)
-from sgve.gamefile import game_spec_from_document
+from sgve.gamefile import builtin_game_file, game_spec_from_document
 
 TOL = 1e-9
 
@@ -319,7 +319,7 @@ def test_discretize_rejects_nonfinite_intermediate(payoff):
 
 def test_grid_evaluation_matches_scalar_eval():
     for name in ("exshap", "mckinsey"):
-        spec, _ = game_spec_from_document(bench.builtin_game_file(name))
+        spec, _ = game_spec_from_document(builtin_game_file(name))
         game = discretize(spec, 5)
         for k in range(spec.states):
             xs = game.grids_x[k][:, 0]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from sgve import bench, expr
+from sgve import expr
 from sgve.errors import GameSpecError
 from sgve.game import discretize, solve_matrix_game
-from sgve.gamefile import game_spec_from_document
+from sgve.gamefile import game_spec_from_document, mckinsey_game_file
 from sgve.parametric import (ConvexGameSpec, SeparableSpec, convex_value,
                              convexity_spot_check, mckinsey_grid_value,
                              mckinsey_payoff_matrix, mckinsey_value,
@@ -177,7 +177,7 @@ def test_mckinsey_domain():
 def test_mckinsey_matrix_is_the_bench_document_payoff():
     # one payoff text: the z = 1 matrix is the bench:mckinsey game's grid,
     # and the grid's resolution rule is every other grid's
-    spec = game_spec_from_document(bench.mckinsey_game_file())[0]
+    spec = game_spec_from_document(mckinsey_game_file())[0]
     for points in (2, 7, 51):
         assert np.array_equal(mckinsey_payoff_matrix(1.0, points),
                               discretize(spec, points).g[0])

@@ -6,7 +6,7 @@ import pytest
 from sgve import bench
 from sgve import game as game_module
 from sgve import values as values_module
-from sgve.errors import GameSpecError, IterationBudgetError, MatrixGameError
+from sgve.errors import IterationBudgetError, MatrixGameError
 from sgve.game import DiscretizedGame, MatrixGameSolution, discretize
 from sgve.shapley import ShapleyOperator
 from sgve.values import (DeviationCheck, PowerLawFit, default_lambda_grid,
@@ -655,7 +655,7 @@ def test_deviation_check_random_perturbation():
     (lambda op: rate_fit([(1, [1.0]), (2.5, [0.5])], [0.0]),
      ValueError, "n must be an integer >= 1, got 2.5"),
     (lambda op: iterate_deviation_check(op, constant_operator(3, 0.5), 10),
-     GameSpecError, "operators must share the state space"),
+     ValueError, "operators must share the state space"),
     (lambda op: iterate_deviation_check(op, op, 0),
      ValueError, "n must be an integer >= 1, got 0"),
     (lambda op: iterate_deviation_check(op, op, 2.5),
